@@ -31,16 +31,13 @@ def describe(structure):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--resolution", type=int, default=6)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--v", default="1")
     args = ap.parse_args()
 
     v = parse_v(args.v)
     for gamma, mu in ((6.0, 1e-6), (-1.5, 0.5), (8.0, 0.3), (11.0, 0.9)):
         print("gamma = %g, mu = %g:" % (gamma, mu))
-        structure = assemble_bands(
-            ModelParams(gamma=gamma, mu=mu), v, args.resolution, threads=args.threads
-        )
+        structure = assemble_bands(ModelParams(gamma=gamma, mu=mu), v, args.resolution)
         describe(structure)
         print()
 

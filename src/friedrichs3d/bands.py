@@ -12,14 +12,12 @@ produce separate components.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .determinant import ModelParams, SpectralWindow, find_discrete_spectrum
+from .determinant import ModelParams, _solve_fibers
 from .lattice import ORIGIN, PI_POINT, TWO_PI, TorusPoint, lambda_points
-from .quadrature import QuadratureConfig
 from .vfunction import VFunction
 
 __all__ = ["BandStructure", "ESSENTIAL_BAND", "assemble_bands", "branch_extrema"]
@@ -30,11 +28,16 @@ _MERGE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class BandStructure:
-    """Merged spectral intervals plus the sampled eigenvalue branches."""
+    """Merged spectral intervals plus the sampled eigenvalue branches.
+
+    root_iterations counts the lockstep root-solver iterations of both
+    solver passes (grid, then refinement).
+    """
 
     intervals: tuple
     k_grid_resolution: int
     eigen_branches: tuple  # SpectralWindow per sampled k, deterministic order
+    root_iterations: int = 0
 
     def branch_values(self, side: str):
         if side not in ("below", "above"):
@@ -62,8 +65,6 @@ def assemble_bands(
     params: ModelParams,
     v: VFunction,
     resolution: int = 8,
-    cfg: QuadratureConfig | None = None,
-    threads: int = 1,
 ) -> BandStructure:
     """Sample both eigenvalue branches over a k-grid and merge the spectrum.
 
@@ -72,11 +73,10 @@ def assemble_bands(
     points), then refines once, at quarter spacing, across grid links
     where a branch appears or disappears (detachment crossings).  The
     merged interval list always contains the essential band [0, 27/2].
+    Each pass solves all its fibers together, one band edge at a time.
     """
     if not (isinstance(resolution, int) and resolution >= 2):
         raise ValueError("resolution must be an integer >= 2")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
 
     g = -np.pi + (np.arange(resolution) + 0.5) * (TWO_PI / resolution)
     grid_pts = [
@@ -85,13 +85,7 @@ def assemble_bands(
     extra = list(_distinguished_points())
     points = grid_pts + [p for p in extra if p not in set(grid_pts)]
 
-    def solve_many(pts):
-        if threads > 1 and len(pts) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(lambda p: find_discrete_spectrum(params, v, p, cfg), pts))
-        return [find_discrete_spectrum(params, v, p, cfg) for p in pts]
-
-    windows = solve_many(points)
+    windows, iterations = _solve_fibers(params, v, points)
     by_point = {w.k: w for w in windows}
 
     # one local refinement pass: where existence flips across an axis link,
@@ -118,7 +112,9 @@ def assemble_bands(
                         move[axis] = frac * h
                         refine.add(p + move)
     new_pts = [p for p in sorted(refine, key=lambda t: t.coords) if p not in by_point]
-    for w in solve_many(new_pts):
+    refined, more = _solve_fibers(params, v, new_pts)
+    iterations += more
+    for w in refined:
         by_point[w.k] = w
 
     branches = tuple(sorted(by_point.values(), key=lambda w: w.k.coords))
@@ -130,7 +126,10 @@ def assemble_bands(
             intervals.append((min(vals), max(vals)))
     merged = _merge_intervals(intervals)
     return BandStructure(
-        intervals=merged, k_grid_resolution=resolution, eigen_branches=branches
+        intervals=merged,
+        k_grid_resolution=resolution,
+        eigen_branches=branches,
+        root_iterations=iterations,
     )
 
 

@@ -77,7 +77,6 @@ class RunConfig:
     samples: int | None = None
     grids: list | None = None
     tol: float | None = None
-    threads: int = 1
     format: str = "json"
     output: str | None = None
     quad_base_grid: int = DEFAULT_CONFIG.base_grid
@@ -179,7 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bands", parents=[common, model], help="band intervals over the torus")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--resolution", type=int, default=8)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("critical", parents=[common, model], help="critical couplings at gamma")
 
@@ -218,7 +216,6 @@ def _config_from_args(args) -> RunConfig:
         "samples",
         "grids",
         "tol",
-        "threads",
     ):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
@@ -251,7 +248,7 @@ def _cmd_spectrum(cfg: RunConfig):
     v = cfg.coupling()
     k = cfg.torus_k()
     quad = cfg.quadrature()
-    window = find_discrete_spectrum(params, v, k, quad)
+    window = find_discrete_spectrum(params, v, k)
 
     residuals = {}
     refinements = {}
@@ -298,9 +295,8 @@ def _branch_summary(structure, side):
 def _cmd_bands(cfg: RunConfig):
     params = cfg.model()
     v = cfg.coupling()
-    quad = cfg.quadrature()
     resolution = cfg.resolution if cfg.resolution is not None else 8
-    structure = assemble_bands(params, v, resolution, quad, threads=cfg.threads)
+    structure = assemble_bands(params, v, resolution)
     results = {
         "intervals": [[a, b] for a, b in structure.intervals],
         "interval_count": len(structure.intervals),
@@ -308,7 +304,10 @@ def _cmd_bands(cfg: RunConfig):
         "branch_below": _branch_summary(structure, "below"),
         "branch_above": _branch_summary(structure, "above"),
     }
-    diagnostics = {"n_fibers_solved": len(structure.eigen_branches)}
+    diagnostics = {
+        "n_fibers_solved": len(structure.eigen_branches),
+        "root_iterations": structure.root_iterations,
+    }
     return results, diagnostics, 0, structure
 
 
@@ -419,11 +418,10 @@ def _cmd_verify(cfg: RunConfig):
     params = cfg.model()
     v = cfg.coupling()
     k = cfg.torus_k()
-    quad = cfg.quadrature()
     tol = cfg.tol if cfg.tol is not None else 1e-3
     grids = cfg.grids if cfg.grids else [8, 16, 32]
 
-    window = find_discrete_spectrum(params, v, k, quad)
+    window = find_discrete_spectrum(params, v, k)
     target_low = window.eigen_below if window.eigen_below is not None else window.m
     target_high = window.eigen_above if window.eigen_above is not None else window.M
 
@@ -564,6 +562,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        cfg.quadrature()  # every report embeds the quadrature knobs: reject bad ones
         out = handler(cfg)
     except _NUMERICAL_ERRORS as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)

@@ -8,8 +8,10 @@ has essential spectrum [m(k), M(k)] and the determinant
 Its zeros outside the band are exactly the discrete eigenvalues.  Delta
 is strictly decreasing in z with slope <= -1 outside the band, so each
 side carries at most one simple zero, existence is decided by the sign
-of the one-sided edge limits, and bisection is safe with the z-error
-bounded by the Delta-error.
+of the one-sided edge limits, and the z-error of a root is bounded by
+the Delta-error.  Since 0 <= int v^2/|w1 - z| <= ||v||_2^2 / dist(z, band),
+every root lies within mu ||v||_2 of [min(w0, m), max(w0, M)], which
+brackets it at any coupling.
 """
 
 from __future__ import annotations
@@ -17,11 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .lattice import TorusPoint, band_endpoints, threshold_point, w0
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     ResolventKernel,
+    _KernelBatch,
+    _Kernels,
     integrate_smooth,
     integrate_threshold,
 )
@@ -39,8 +45,10 @@ __all__ = [
 
 # refuse plain-quadrature evaluation closer to the band than this
 EDGE_MARGIN = 1e-6
-_BISECT_TOL = 1e-10
-_BRACKET_CAP = 1e4
+_ROOT_TOL = 1e-10
+_MAX_ITERATIONS = 200
+# relative rounding of Delta = w0 - z -+ mu^2 J, the floor of its attainable |Delta|
+_NOISE = 8.0 * np.finfo(float).eps
 
 
 class InsideEssentialSpectrum(ValueError):
@@ -141,94 +149,125 @@ def fredholm_delta_threshold(
     return params.gamma - 9.0 + params.mu ** 2 * integral.value
 
 
-class _DeltaSolver:
-    """Edge-capable determinant evaluator for one fiber (internal)."""
+def _solve_rows(params: ModelParams, batch: _KernelBatch, kernels: _Kernels):
+    """The root on each (fiber, band edge) row of `kernels`, or NaN where there is none.
 
-    def __init__(self, params: ModelParams, v: VFunction, k: TorusPoint):
-        self.params = params
-        self.kernel = ResolventKernel(v, k)
-        self.m = self.kernel.m
-        self.M = self.kernel.M
-        self.w0 = w0(k, params.gamma)
-        self.mu2 = params.mu ** 2
+    Each row is solved in its distance delta from its edge, where
+    g(delta) = sign * Delta(edge + sign * delta) (sign -1 below, +1 above)
+    decreases with slope -1 - mu^2 int s e^{-delta s} G(s) ds <= -1.  A root
+    exists iff g(0+) > 0 and is pinched at the margin iff g(EDGE_MARGIN) < 0.
+    Otherwise it lies below g(0+) (the slope) and below
+    max(sign (w0 - edge), 0) + mu ||v||_2 (the rank-one bound); g < 0 is
+    checked just beyond the smaller one.  All open rows then step together
+    from there: Newton in sqrt(delta), which tames the sqrt(delta) edge
+    behavior of the kernel, replaced by a geometric bisection whenever it
+    leaves the bracket.  A row stops when |g| <= 1e-10 (or the rounding
+    noise at large |z|), which bounds its error by the same since
+    |g'| >= 1, or when its bracket is 1e-10 wide.  Returns the roots and
+    the number of lockstep iterations.
+    """
+    above = kernels.side == 1
+    sign = np.where(above, 1.0, -1.0)
+    edge = np.where(above, batch.M[kernels.fiber], batch.m[kernels.fiber])
+    w0 = batch.eps[kernels.fiber] + params.gamma
+    n = sign.size
+    mu2 = params.mu ** 2
 
-    def delta_below(self, z: float) -> float:
-        j = self.kernel.integral_below(z)
-        if math.isinf(j):
-            return -math.inf
-        return self.w0 - z - self.mu2 * j
+    def g(rows, delta, slope=False):
+        out = kernels.integrals(rows, delta, slope)
+        j, k = out if slope else (out, None)
+        z = edge[rows] + sign[rows] * delta
+        value = sign[rows] * (w0[rows] - z) + mu2 * j
+        if not slope:
+            return value
+        noise = _NOISE * (np.abs(w0[rows]) + np.abs(z) + mu2 * j)
+        return value, -1.0 - mu2 * k, noise
 
-    def delta_above(self, z: float) -> float:
-        j = self.kernel.integral_above(z)
-        if math.isinf(j):
-            return math.inf
-        return self.w0 - z + self.mu2 * j
-
-    def limit_below(self) -> float:
-        return self.delta_below(self.m)
-
-    def limit_above(self) -> float:
-        return self.delta_above(self.M)
-
-
-def _bisect(f, lo: float, hi: float, f_lo_positive: bool) -> float:
-    # invariant: sign(f(lo)) != sign(f(hi)); tolerance on z directly, which
-    # bounds the Delta-error too since |Delta'| >= 1
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > 0.0) == f_lo_positive:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _root_below(solver: _DeltaSolver) -> float | None:
-    if not solver.limit_below() < 0.0:
-        return None
-    z_edge = solver.m - EDGE_MARGIN
-    if solver.delta_below(z_edge) > 0.0:
-        # the zero is pinched between z_edge and the edge itself; report it
-        # at the margin resolution
-        return z_edge
-    width = 1.0
-    while solver.delta_below(solver.m - width) <= 0.0:
-        width *= 2.0
-        if width > _BRACKET_CAP:
-            raise RuntimeError("failed to bracket the eigenvalue below the band")
-    return _bisect(solver.delta_below, solver.m - width, z_edge, f_lo_positive=True)
-
-
-def _root_above(solver: _DeltaSolver) -> float | None:
-    if not solver.limit_above() > 0.0:
-        return None
-    z_edge = solver.M + EDGE_MARGIN
-    if solver.delta_above(z_edge) < 0.0:
-        return z_edge
-    width = 1.0
-    while solver.delta_above(solver.M + width) >= 0.0:
-        width *= 2.0
-        if width > _BRACKET_CAP:
-            raise RuntimeError("failed to bracket the eigenvalue above the band")
-    return _bisect(solver.delta_above, z_edge, solver.M + width, f_lo_positive=True)
+    roots = np.full(n, np.nan)
+    at_edge, at_margin = np.split(g(np.tile(np.arange(n), 2), np.repeat([0.0, EDGE_MARGIN], n)), 2)
+    pinched = (at_edge > 0.0) & (at_margin < 0.0)
+    roots[pinched] = EDGE_MARGIN
+    open_ = np.flatnonzero((at_edge > 0.0) & ~pinched)
+    lo = np.full(open_.size, EDGE_MARGIN)
+    rank_one = np.maximum(sign[open_] * (w0[open_] - edge[open_]), 0.0) + params.mu * batch.v_norm
+    bound = np.minimum(rank_one, at_edge[open_])
+    hi = bound + 1e-9 * (1.0 + bound)
+    x = hi
+    iterations = 0
+    while open_.size:
+        value, slope, noise = g(open_, x, slope=True)
+        if iterations == 0 and not np.all(value < 0.0):
+            raise RuntimeError("an eigenvalue lies beyond its rank-one bound")
+        iterations += 1
+        if iterations > _MAX_ITERATIONS:
+            raise RuntimeError("root iteration did not converge in %d steps" % _MAX_ITERATIONS)
+        beyond = value > 0.0
+        lo = np.where(beyond, x, lo)
+        hi = np.where(beyond, hi, x)
+        mid = np.sqrt(lo * hi)
+        small = np.abs(value) <= np.maximum(noise, _ROOT_TOL)
+        # a bracket with no float strictly inside has resolved its root to an ulp
+        narrow = (hi - lo <= _ROOT_TOL) | (mid <= lo) | (mid >= hi)
+        done = small | narrow
+        if done.any():
+            final = np.where(small, np.minimum(np.maximum(x - value / slope, lo), hi), 0.5 * (lo + hi))
+            roots[open_[done]] = final[done]
+            keep = ~done
+            open_, lo, hi, x, value, slope, mid = (
+                a[keep] for a in (open_, lo, hi, x, value, slope, mid)
+            )
+        u = np.sqrt(x)
+        newton = np.maximum(u - value / (2.0 * u * slope), 0.0) ** 2
+        x = np.where((newton > lo) & (newton < hi), newton, mid)
+    return edge + sign * roots, iterations
 
 
-def find_discrete_spectrum(
-    params: ModelParams,
-    v: VFunction,
-    k,
-    cfg: QuadratureConfig | None = None,
-) -> SpectralWindow:
+def _solve_batch(params: ModelParams, batch: _KernelBatch, kernel_groups):
+    """Spectral windows of every fiber of a batch, plus the lockstep iterations.
+
+    Each item of `kernel_groups` holds kernel rows of the batch, solved in
+    lockstep; the rows of all groups together cover both edges of every
+    fiber.  A group is released before the next one is taken.
+    """
+    roots = np.full((2, len(batch.points)), np.nan)
+    iterations = 0
+    for kernels in kernel_groups:
+        z, steps = _solve_rows(params, batch, kernels)
+        roots[kernels.side, kernels.fiber] = z
+        iterations += steps
+        del kernels
+    below, above = roots
+    windows = [
+        SpectralWindow(
+            k=point,
+            m=float(batch.m[i]),
+            M=float(batch.M[i]),
+            eigen_below=None if np.isnan(below[i]) else float(below[i]),
+            eigen_above=None if np.isnan(above[i]) else float(above[i]),
+        )
+        for i, point in enumerate(batch.points)
+    ]
+    return windows, iterations
+
+
+def _solve_fibers(params: ModelParams, v: VFunction, points):
+    """Spectral windows at every momentum in `points`, plus the lockstep iteration count.
+
+    The two band edges are solved one after the other, so only one edge's
+    (fibers x nodes) kernel samples are held at a time.
+    """
+    batch = _KernelBatch(v, points)
+    return _solve_batch(params, batch, (batch.kernels((side,)) for side in (0, 1)))
+
+
+def find_discrete_spectrum(params: ModelParams, v: VFunction, k) -> SpectralWindow:
     """Locate the (at most one per side) discrete eigenvalues of the fiber at k.
 
     Existence is decided by the sign of the one-sided determinant limits at
     the band edges, evaluated exactly by the Laplace-Bessel kernel; the
-    roots are then bisected to 1e-10.  A root within EDGE_MARGIN of the
-    band is reported clamped at the margin.
+    roots are then solved by safeguarded Newton to 1e-10.  A root within
+    EDGE_MARGIN of the band is reported clamped at the margin.
     """
-    del cfg  # accepted for interface symmetry; the kernel needs no grid knobs
-    k = k if isinstance(k, TorusPoint) else TorusPoint(k)
-    solver = _DeltaSolver(params, v, k)
-    below = _root_below(solver)
-    above = _root_above(solver)
-    return SpectralWindow(k=k, m=solver.m, M=solver.M, eigen_below=below, eigen_above=above)
+    kernel = ResolventKernel(v, k)
+    windows, _ = _solve_batch(params, kernel._batch, [kernel._kernels])
+    return windows[0]

@@ -32,6 +32,7 @@ from .lattice import (
     TWO_PI,
     TorusPoint,
     band_endpoints,
+    epsilon,
     lambda_points,
     reduce_coords,
 )
@@ -313,6 +314,8 @@ _S_PANEL_EDGES = (
 _GL_PER_PANEL = 32
 _S_END = _S_PANEL_EDGES[-1]
 _ACTIVE_TOL = 1e-9
+# fibers per block of (fibers x nodes) work arrays: bounds the memory of a batch
+_ROWS_PER_CHUNK = 32
 
 
 @lru_cache(maxsize=1)
@@ -325,36 +328,193 @@ def _laplace_nodes():
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _tail_integral(q: float, delta: float, S: float) -> float:
-    """Closed form of int_S^inf s^{-q} e^{-delta s} ds for half-integer q <= 5/2."""
-    if delta < 0.0:
-        raise ValueError("tail decay rate must be >= 0")
-    if delta == 0.0:
-        if q <= 1.0:
-            return math.inf
-        if q == 1.5:
-            return 2.0 / math.sqrt(S)
-        if q == 2.0:
-            return 1.0 / S
-        if q == 2.5:
-            return (2.0 / 3.0) * S ** -1.5
-        raise ValueError("unsupported tail exponent %r" % q)
+def _tails(d_free: int, delta):
+    """T(q - 1), T(q), T(q + 1) for q = d_free / 2, elementwise over delta > 0.
+
+    T(q) = int_S^inf s^{-q} e^{-delta s} ds in closed form; a fiber with d
+    free axes has an algebraic tail A T(d/2) + B T(d/2 + 1) and a slope
+    tail one order down.
+    """
+    S = _S_END
     x = delta * S
-    if q == 0.0:
-        return math.exp(-x) / delta
-    if q == 0.5:
-        return math.sqrt(math.pi / delta) * math.erfc(math.sqrt(x))
-    if q == 1.0:
-        return float(_sc.exp1(x)) if x > 0 else math.inf
-    if q == 1.5:
-        return 2.0 * math.exp(-x) / math.sqrt(S) - 2.0 * math.sqrt(math.pi * delta) * math.erfc(
-            math.sqrt(x)
+    e = np.exp(-x)
+    if d_free % 2:
+        erfc = _sc.erfc(np.sqrt(x))
+        t_half = np.sqrt(math.pi / delta) * erfc
+        t_three_halves = 2.0 * e / math.sqrt(S) - 2.0 * np.sqrt(math.pi * delta) * erfc
+        if d_free == 1:
+            return (math.sqrt(S) * e + 0.5 * t_half) / delta, t_half, t_three_halves
+        return t_half, t_three_halves, (2.0 / 3.0) * (e * S ** -1.5 - delta * t_three_halves)
+    t_zero = e / delta
+    t_one = _sc.exp1(x)
+    if d_free == 0:
+        return e * (S / delta + 1.0 / (delta * delta)), t_zero, t_one
+    return t_zero, t_one, e / S - delta * t_one
+
+
+def _tail_table(delta, d_free):
+    """T(q - 1), T(q), T(q + 1) for q = d_free / 2 per element, as rows, for delta >= 0.
+
+    At delta = 0, T(q) diverges for q <= 1 and is S^{1-q}/(q-1) otherwise.
+    """
+    at_edge = delta == 0.0
+    safe = np.where(at_edge, 1.0, delta)
+    table = np.empty((3, delta.size))
+    for d in set(d_free.tolist()):
+        sel = d_free == d
+        table[:, sel] = _tails(d, safe[sel])
+    if at_edge.any():
+        q = 0.5 * d_free[at_edge] + np.array([-1.0, 0.0, 1.0])[:, None]
+        with np.errstate(divide="ignore"):
+            table[:, at_edge] = np.where(q > 1.0, _S_END ** (1.0 - q) / (q - 1.0), math.inf)
+    return table
+
+
+class _Kernels:
+    """Laplace-Bessel kernels of a list of (fiber, band edge) rows of a batch.
+
+    Row r belongs to fiber `fiber[r]` at band edge `side[r]` (0 below, 1
+    above).  `dot` holds G times its quadrature weights at the Laplace
+    nodes; A, B and d_free give the row's algebraic tail.
+    """
+
+    def __init__(self, fiber, side, dot, A, B, d_free, s_nodes):
+        self.fiber = fiber
+        self.side = side
+        self.dot = dot
+        self.A = A
+        self.B = B
+        self.d_free = d_free
+        self.s_nodes = s_nodes
+
+    def integrals(self, rows, delta, slope: bool = False):
+        """J = int v^2/|w1 - z| at distance delta >= 0 from the edge, for kernel `rows`.
+
+        With `slope`, also returns -dJ/d(delta) = int_0^inf s e^{-delta s} G(s) ds,
+        whose algebraic tail is the closed form one order down.
+        """
+        d_free = self.d_free[rows]
+        A = self.A[rows]
+        B = self.B[rows]
+        below, lead, sub = _tail_table(delta, d_free)
+        body = np.empty(delta.size)
+        moment = np.empty(delta.size)
+        for start in range(0, delta.size, _ROWS_PER_CHUNK):
+            part = slice(start, start + _ROWS_PER_CHUNK)
+            terms = self.dot[rows[part]] * np.exp(-delta[part, None] * self.s_nodes)
+            body[part] = np.sum(terms, axis=1)
+            if slope:
+                moment[part] = np.sum(terms * self.s_nodes, axis=1)
+        finite = np.isfinite(lead)
+        if finite.all():
+            value = body + A * lead + B * sub
+        else:
+            # the edge limit with d <= 2 diverges unless the leading weight
+            # vanishes (v^2 zero at the edge minimizer); then the subleading
+            # term decides when it converges
+            with np.errstate(invalid="ignore"):
+                edge = body + np.where(np.isfinite(sub), B * sub, 0.0)
+                value = np.where(
+                    finite, body + A * lead + B * sub, np.where(A > 1e-300, math.inf, edge)
+                )
+        if not slope:
+            return value
+        return value, moment + A * below + B * lead
+
+
+class _KernelBatch:
+    """The Laplace-Bessel kernels of the fibers at a list of momenta.
+
+    Row i belongs to fiber `points[i]`.  The ive tables are built once over
+    the distinct c_j = cos(k_j/2) of the whole batch.  `kernels` samples G
+    for the requested band edges one order triple and one block of rows at
+    a time, so memory holds one (rows x nodes) array per call, and every
+    row is the same arithmetic a batch of one would do.
+    """
+
+    def __init__(self, v: VFunction, points):
+        self.points = [p if isinstance(p, TorusPoint) else TorusPoint(p) for p in points]
+        kc = np.array([p.coords for p in self.points], dtype=float).reshape(-1, 3)
+        n = kc.shape[0]
+        self.m, self.M = band_endpoints(kc)
+        self.eps = epsilon(kc)
+
+        sq = v.squared_exp_coeffs()
+        modes = sorted(sq)
+        keys = np.array(modes, dtype=int).reshape(-1, 3)
+        beta = np.array([sq[m] for m in modes], dtype=complex)
+        # ||v||_2^2 = (2 pi)^3 times the mean of v^2
+        self.v_norm = math.sqrt(max(TWO_PI ** 3 * float(np.real(sq.get((0, 0, 0), 0.0))), 0.0))
+
+        theta = kc[:, 0, None] * keys[:, 0] + kc[:, 1, None] * keys[:, 1] + kc[:, 2, None] * keys[:, 2]
+        w_below = np.real(beta * np.exp(-0.5j * theta))
+        parity = np.where(np.abs(keys).sum(axis=1) % 2 == 0, 1.0, -1.0)
+        weights = (w_below, w_below * parity)
+
+        c = np.cos(kc / 2.0)
+        c = np.where(c < 0.0, 0.0, c)  # guard roundoff at k_j = pi
+        active = c > _ACTIVE_TOL
+        self.d_free = np.sum(active, axis=1)
+
+        # algebraic tail coefficients; terms with harmonics on a frozen axis
+        # are suppressed there (ive(n, ~0) ~ 0 for n > 0)
+        vol = TWO_PI ** 3
+        inv_sqrt = np.ones((n, len(keys)))
+        corr = np.zeros((n, len(keys)))
+        keep = np.ones((n, len(keys)), dtype=bool)
+        safe_c = np.where(active, c, 1.0)
+        for j in range(3):
+            on = active[:, j, None]
+            cj = safe_c[:, j, None]
+            mj = keys[:, j].astype(float)
+            inv_sqrt = np.where(on, inv_sqrt / np.sqrt(4.0 * math.pi * cj), inv_sqrt)
+            corr = np.where(on, corr + (4.0 * mj * mj - 1.0) / (16.0 * cj), corr)
+            keep &= on | (keys[:, j] == 0)
+        kept = [np.where(keep, w, 0.0) for w in weights]
+        self._A = np.stack([vol * np.sum(w * inv_sqrt, axis=1) for w in kept])
+        self._B = np.stack([-vol * np.sum(w * inv_sqrt * corr, axis=1) for w in kept])
+
+        # the Bessel product of a mode depends on its orders |m_j| only: sum
+        # the mode weights per order triple, mode by mode in key order
+        index = {}
+        triple_of = [index.setdefault(t, len(index)) for t in map(tuple, np.abs(keys).tolist())]
+        self._triples = list(index)
+        self._triple_weights = np.zeros((2, n, len(index)))  # (side, fiber, triple)
+        for summed, w in zip(self._triple_weights, weights):
+            np.add.at(summed.T, triple_of, w.T)
+
+        # ive tables by harmonic order over the distinct c_j of the batch
+        self._s_nodes, s_weights = _laplace_nodes()
+        self._scale = vol * s_weights
+        c_unique, c_index = np.unique(c, return_inverse=True)
+        self._c_index = c_index.reshape(n, 3)
+        orders = 1 + max((max(t) for t in self._triples), default=-1)
+        self._tables = _sc.ive(
+            np.arange(orders, dtype=float)[:, None, None],
+            (2.0 * c_unique)[None, :, None] * self._s_nodes[None, None, :],
         )
-    if q == 2.0:
-        return math.exp(-x) / S - delta * (float(_sc.exp1(x)) if x > 0 else 0.0)
-    if q == 2.5:
-        return (2.0 / 3.0) * (math.exp(-x) * S ** -1.5 - delta * _tail_integral(1.5, delta, S))
-    raise ValueError("unsupported tail exponent %r" % q)
+
+    def kernels(self, sides) -> _Kernels:
+        """Kernels of every fiber at each band edge in `sides`, one edge after the other."""
+        n = len(self.points)
+        fiber = np.tile(np.arange(n), len(sides))
+        side = np.repeat(np.asarray(sides, dtype=int), n)
+        tables = self._tables
+        dot = np.empty((fiber.size, self._s_nodes.size))
+        for start in range(0, fiber.size, _ROWS_PER_CHUNK):
+            part = slice(start, start + _ROWS_PER_CHUNK)
+            c_index = self._c_index[fiber[part]]
+            weights = self._triple_weights[side[part], fiber[part]]
+            g = np.zeros((c_index.shape[0], self._s_nodes.size))
+            for (o1, o2, o3), w in zip(self._triples, weights.T):
+                if w.any():
+                    g += w[:, None] * (
+                        tables[o1][c_index[:, 0]] * tables[o2][c_index[:, 1]] * tables[o3][c_index[:, 2]]
+                    )
+            dot[part] = g * self._scale
+        return _Kernels(
+            fiber, side, dot, self._A[side, fiber], self._B[side, fiber], self.d_free[fiber], self._s_nodes
+        )
 
 
 class ResolventKernel:
@@ -372,109 +532,33 @@ class ResolventKernel:
     then a weighted dot product plus a closed-form algebraic tail
     A T(d/2) + B T(d/2 + 1), where d counts the axes with c_j away from
     zero.  Edge limits (z at m or M) are exact: the tail term correctly
-    diverges when d <= 2 and stays finite for d = 3.
+    diverges when d <= 2 and stays finite for d = 3.  This is a batch of
+    one of the kernels the discrete-spectrum solver builds for many fibers.
     """
 
     def __init__(self, v: VFunction, k):
-        k = k if isinstance(k, TorusPoint) else TorusPoint(k)
-        self.k = k
-        lo, hi = band_endpoints(k)
-        self.m = float(lo)
-        self.M = float(hi)
+        self._batch = _KernelBatch(v, [k])
+        self._kernels = self._batch.kernels((0, 1))
+        self.k = self._batch.points[0]
+        self.m = float(self._batch.m[0])
+        self.M = float(self._batch.M[0])
 
-        sq = v.squared_exp_coeffs()
-        self._zero = not sq
-        if self._zero:
-            return
-
-        kc = k.to_array()
-        keys = np.array(sorted(sq.keys()), dtype=int)
-        beta = np.array([sq[tuple(kk)] for kk in keys])
-        phase = np.exp(-0.5j * (keys @ kc))
-        w_below = np.real(beta * phase)
-        parity = np.where(np.abs(keys).sum(axis=1) % 2 == 0, 1.0, -1.0)
-        w_above = w_below * parity
-
-        c = np.cos(kc / 2.0)
-        c = np.where(c < 0.0, 0.0, c)  # guard roundoff at k_j = pi
-        active = c > _ACTIVE_TOL
-        self._d_eff = int(np.sum(active))
-
-        s_nodes, s_weights = _laplace_nodes()
-        # per-axis ive tables, indexed by harmonic order
-        orders = sorted(set(int(o) for o in np.abs(keys).ravel()))
-        with np.errstate(under="ignore"):
-            tables = []
-            for j in range(3):
-                tab = {o: _sc.ive(o, 2.0 * c[j] * s_nodes) for o in orders}
-                tables.append(tab)
-            g_below = np.zeros_like(s_nodes)
-            g_above = np.zeros_like(s_nodes)
-            for row, wb, wa in zip(keys, w_below, w_above):
-                if abs(wb) < 1e-18 and abs(wa) < 1e-18:
-                    continue
-                gshape = (
-                    tables[0][abs(int(row[0]))]
-                    * tables[1][abs(int(row[1]))]
-                    * tables[2][abs(int(row[2]))]
-                )
-                g_below += wb * gshape
-                g_above += wa * gshape
-        vol = TWO_PI ** 3
-        self._dot_below = vol * g_below * s_weights
-        self._dot_above = vol * g_above * s_weights
-        self._s_nodes = s_nodes
-
-        # algebraic tail coefficients; terms with harmonics on a frozen axis
-        # are suppressed there (ive(n, ~0) ~ 0 for n > 0)
-        inv_sqrt = np.ones(len(keys))
-        corr = np.zeros(len(keys))
-        keep = np.ones(len(keys), dtype=bool)
-        for j in range(3):
-            if active[j]:
-                inv_sqrt /= np.sqrt(4.0 * math.pi * c[j])
-                mj = keys[:, j].astype(float)
-                corr += (4.0 * mj * mj - 1.0) / (16.0 * c[j])
-            else:
-                keep &= keys[:, j] == 0
-        wb = np.where(keep, w_below, 0.0)
-        wa = np.where(keep, w_above, 0.0)
-        self._A_below = vol * float(np.sum(wb * inv_sqrt))
-        self._B_below = -vol * float(np.sum(wb * inv_sqrt * corr))
-        self._A_above = vol * float(np.sum(wa * inv_sqrt))
-        self._B_above = -vol * float(np.sum(wa * inv_sqrt * corr))
-        self._q = 0.5 * self._d_eff
-
-    def _evaluate(self, dot, A, B, delta: float) -> float:
-        with np.errstate(under="ignore"):
-            body = float(np.dot(dot, np.exp(-delta * self._s_nodes)))
-        lead = _tail_integral(self._q, delta, _S_END)
-        if math.isinf(lead):
-            if A > 1e-300:
-                return math.inf
-            # leading weight vanishes (v^2 zero at the edge minimizer); fall
-            # through to the subleading term when it converges
-            sub = _tail_integral(self._q + 1.0, delta, _S_END)
-            return body + (B * sub if math.isfinite(sub) else 0.0)
-        return body + A * lead + B * _tail_integral(self._q + 1.0, delta, _S_END)
+    def _evaluate(self, side: int, delta: float) -> float:
+        return float(self._kernels.integrals(np.array([side]), np.array([delta]))[0])
 
     def integral_below(self, z: float) -> float:
         """J(z) = int v^2/(w1 - z) dt for z <= m(k); z = m gives the edge limit."""
-        if self._zero:
-            return 0.0
         delta = self.m - float(z)
         if delta < -1e-9:
             raise ValueError("z = %.17g lies above the lower band edge %.17g" % (z, self.m))
-        return self._evaluate(self._dot_below, self._A_below, self._B_below, max(delta, 0.0))
+        return self._evaluate(0, max(delta, 0.0))
 
     def integral_above(self, z: float) -> float:
         """J(z) = int v^2/(z - w1) dt for z >= M(k); z = M gives the edge limit."""
-        if self._zero:
-            return 0.0
         delta = float(z) - self.M
         if delta < -1e-9:
             raise ValueError("z = %.17g lies below the upper band edge %.17g" % (z, self.M))
-        return self._evaluate(self._dot_above, self._A_above, self._B_above, max(delta, 0.0))
+        return self._evaluate(1, max(delta, 0.0))
 
 
 def band_resolvent_integral(v: VFunction, k, z: float) -> float:

@@ -109,9 +109,15 @@ def pi_point_roots(gamma: float, mu: float):
 
     There the fiber dispersion is identically 12, so the determinant
     condition collapses to the quadratic (w0 - z)(12 - z) = mu^2 (2pi)^3
-    with w0 = gamma + 6.  Returns (below, above)."""
+    with w0 = gamma + 6.  Returns (below, above).  The root of smaller
+    magnitude comes from the product of the roots, so neither cancels at
+    large |gamma|."""
     w0 = gamma + 6.0
     s = w0 + 12.0
-    disc = (w0 - 12.0) ** 2 + 4.0 * mu * mu * TWO_PI ** 3
-    root = np.sqrt(disc)
-    return 0.5 * (s - root), 0.5 * (s + root)
+    product = 12.0 * w0 - mu * mu * TWO_PI ** 3
+    root = np.sqrt((w0 - 12.0) ** 2 + 4.0 * mu * mu * TWO_PI ** 3)
+    if s >= 0.0:
+        above = 0.5 * (s + root)
+        return product / above, above
+    below = 0.5 * (s - root)
+    return below, product / below

@@ -311,23 +311,23 @@ SCAN_MUS = np.geomspace(1e-3, 2.0, 10)
 STABILITY_CONFIGS = ((-2.0, 0.6), (4.0, 0.8))
 
 
-def _scan_and_check(v, resolution: int, threads: int):
+def _scan_and_check(v, resolution: int):
     max_intervals = 0
     for gamma in SCAN_GAMMAS:
         for mu in SCAN_MUS:
             structure = assemble_bands(
-                ModelParams(gamma=float(gamma), mu=float(mu)), v, resolution, threads=threads
+                ModelParams(gamma=float(gamma), mu=float(mu)), v, resolution
             )
             max_intervals = max(max_intervals, len(structure.intervals))
     return max_intervals
 
 
-def _stability_defect(v, configs, resolution: int, threads: int) -> float:
+def _stability_defect(v, configs, resolution: int) -> float:
     worst = 0.0
     for gamma, mu in configs:
         params = ModelParams(gamma=gamma, mu=mu)
-        coarse = assemble_bands(params, v, resolution, threads=threads)
-        fine = assemble_bands(params, v, 2 * resolution, threads=threads)
+        coarse = assemble_bands(params, v, resolution)
+        fine = assemble_bands(params, v, 2 * resolution)
         assert len(coarse.intervals) == len(fine.intervals)
         for (a1, b1), (a2, b2) in zip(coarse.intervals, fine.intervals):
             worst = max(worst, abs(a1 - a2), abs(b1 - b2))
@@ -336,10 +336,10 @@ def _stability_defect(v, configs, resolution: int, threads: int) -> float:
 
 def test_criterion_10_band_scan_smoke(v_one):
     t0 = time.perf_counter()
-    weak = assemble_bands(ModelParams(gamma=6.0, mu=1e-6), v_one, 8, threads=4)
+    weak = assemble_bands(ModelParams(gamma=6.0, mu=1e-6), v_one, 8)
     exact_band = weak.intervals == ((0.0, 13.5),)
-    max_intervals = _scan_and_check(v_one, resolution=8, threads=4)
-    defect = _stability_defect(v_one, STABILITY_CONFIGS, resolution=8, threads=4)
+    max_intervals = _scan_and_check(v_one, resolution=8)
+    defect = _stability_defect(v_one, STABILITY_CONFIGS, resolution=8)
     elapsed = time.perf_counter() - t0
     ok = exact_band and max_intervals <= 3 and defect <= 5e-3 and elapsed < 120.0
     _report(
@@ -354,10 +354,10 @@ def test_criterion_10_band_scan_smoke(v_one):
 @pytest.mark.nightly
 def test_criterion_10_band_scan_full_resolution(v_one):
     t0 = time.perf_counter()
-    weak = assemble_bands(ModelParams(gamma=6.0, mu=1e-6), v_one, 16, threads=4)
+    weak = assemble_bands(ModelParams(gamma=6.0, mu=1e-6), v_one, 16)
     exact_band = weak.intervals == ((0.0, 13.5),)
-    max_intervals = _scan_and_check(v_one, resolution=16, threads=4)
-    defect = _stability_defect(v_one, STABILITY_CONFIGS, resolution=16, threads=4)
+    max_intervals = _scan_and_check(v_one, resolution=16)
+    defect = _stability_defect(v_one, STABILITY_CONFIGS, resolution=16)
     elapsed = time.perf_counter() - t0
     ok = exact_band and max_intervals <= 3 and defect <= 5e-3
     _report(

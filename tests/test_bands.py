@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from friedrichs3d.bands import ESSENTIAL_BAND, BandStructure, assemble_bands, branch_extrema
-from friedrichs3d.determinant import ModelParams, SpectralWindow
+from friedrichs3d.determinant import ModelParams, SpectralWindow, find_discrete_spectrum
 from friedrichs3d.lattice import ORIGIN, PI_POINT, TorusPoint
 
 from oracles import pi_point_roots
@@ -63,14 +63,17 @@ def test_refinement_adds_points_where_branches_detach(v_one):
     assert 0 < len(below) < len(structure.eigen_branches)
 
 
-def test_threading_does_not_change_results(v_cos_half):
+def test_batched_fibers_match_single_fiber_solves(v_cos_half):
     params = ModelParams(gamma=-0.8, mu=0.45)
-    serial = assemble_bands(params, v_cos_half, resolution=4, threads=1)
-    threaded = assemble_bands(params, v_cos_half, resolution=4, threads=4)
-    assert serial.intervals == threaded.intervals
-    assert len(serial.eigen_branches) == len(threaded.eigen_branches)
-    for a, b in zip(serial.eigen_branches, threaded.eigen_branches):
-        assert a.k == b.k and a.eigen_below == b.eigen_below and a.eigen_above == b.eigen_above
+    structure = assemble_bands(params, v_cos_half, resolution=4)
+    assert structure.root_iterations > 0
+    for w in structure.eigen_branches:
+        single = find_discrete_spectrum(params, v_cos_half, w.k)
+        assert (w.m, w.M) == (single.m, single.M)
+        for got, want in ((w.eigen_below, single.eigen_below), (w.eigen_above, single.eigen_above)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_endpoints_stable_under_grid_refinement(v_one):

@@ -49,8 +49,7 @@ def test_rerun_from_embedded_config_is_byte_identical(run_cli, tmp_path):
 
 def test_bands_csv_shape(run_cli):
     code, out, _ = run_cli(
-        "bands", "--gamma", "6", "--mu", "1e-6", "--resolution", "4",
-        "--threads", "2", "--format", "csv",
+        "bands", "--gamma", "6", "--mu", "1e-6", "--resolution", "4", "--format", "csv",
     )
     assert code == 0
     lines = [ln for ln in out.strip().splitlines() if ln]
@@ -69,6 +68,47 @@ def test_bands_json_reports_intervals(run_cli):
     assert res["intervals"] == [[0.0, 13.5]]
     assert res["interval_count"] == 1
     assert res["branch_below"]["n_k"] >= 1
+
+
+def test_bands_reports_root_iterations(run_cli):
+    # the README example: every fiber keeps its branches, so one solver pass
+    code, out, err = run_cli("bands", "--gamma", "-1.5", "--mu", "0.5", "--v", "1", "--resolution", "8")
+    assert code == 0, err
+    diagnostics = json.loads(out)["diagnostics"]
+    passes = 1 if diagnostics["n_fibers_solved"] == 8 ** 3 + 10 else 2
+    assert 0 < diagnostics["root_iterations"] <= 15 * passes
+
+
+def test_bands_rerun_from_embedded_config_is_byte_identical(run_cli, tmp_path):
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    code, _, _ = run_cli(
+        "bands", "--gamma", "8", "--mu", "0.3", "--resolution", "4", "--output", str(first)
+    )
+    assert code == 0
+    code, _, _ = run_cli("--config", str(first), "--output", str(second))
+    assert code == 0
+    assert filecmp.cmp(first, second, shallow=False)
+
+
+def test_config_with_the_removed_threads_key_is_rejected(run_cli, tmp_path):
+    old = tmp_path / "report.json"
+    old.write_text(json.dumps({"config": {"command": "bands", "gamma": 6.0, "mu": 0.1, "threads": 4}}))
+    code, _, err = run_cli("--config", str(old))
+    assert code == 2
+    assert "threads" in err
+
+
+def test_spectrum_brackets_roots_far_from_the_band(run_cli):
+    # the rank-one bound brackets the root above the band at any gamma
+    gamma, mu, k = 1e8, 0.6, (0.5, 0.1, -0.8)
+    code, out, err = run_cli("spectrum", "--gamma", "1e8", "--mu", "0.6", "--v", "1", "--k", "0.5,0.1,-0.8")
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    w0 = gamma + sum(1.0 - np.cos(c) for c in k)
+    v_norm = (2.0 * np.pi) ** 1.5
+    assert res["eigen_below"] is None
+    assert w0 <= res["eigen_above"] <= w0 + mu * v_norm
 
 
 def test_critical_json_values(run_cli):

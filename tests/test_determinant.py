@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friedrichs3d.determinant import (
     EDGE_MARGIN,
     InsideEssentialSpectrum,
     ModelParams,
     SpectralWindow,
+    _solve_fibers,
     find_discrete_spectrum,
     fredholm_delta,
     fredholm_delta_threshold,
 )
 from friedrichs3d.lattice import ORIGIN, PI_POINT, TorusPoint, band_endpoints, lambda_point
 from friedrichs3d.quadrature import IntegralResult
-from friedrichs3d.vfunction import parse_v
+from friedrichs3d.vfunction import VFunction, parse_v
 
 from oracles import WATSON_HALF, WATSON_I_EPS, pi_point_roots
 
@@ -137,3 +140,52 @@ def test_zero_coupling_function_leaves_pure_shift(v_one):
     assert window.eigen_below == pytest.approx(
         params.gamma + 3.0 - np.cos(0.4) * 2.0 - np.cos(-0.9), abs=1e-9
     )
+
+
+def test_huge_gamma_roots_at_corner_match_closed_form(v_one):
+    # the analytic bracket reaches roots 1e8 from the band; the one below
+    # sits 2.5e-6 under the edge, outside the clamping margin
+    window = find_discrete_spectrum(ModelParams(gamma=1e8, mu=1.0), v_one, PI_POINT)
+    below, above = pi_point_roots(1e8, 1.0)
+    assert window.eigen_below == pytest.approx(below, rel=1e-12)
+    assert window.eigen_above == pytest.approx(above, rel=1e-12)
+
+
+_MODES = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)]
+_AUDIT_GAP = 0.1  # grid quadrature closer to the band than this costs seconds per value
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    terms=st.lists(
+        st.tuples(st.sampled_from(_MODES), st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 0.05)),
+        min_size=1,
+        max_size=4,
+    ),
+    ks=st.lists(st.tuples(*[st.floats(-np.pi, np.pi)] * 3), min_size=1, max_size=3),
+    gamma=st.floats(-4.0, 16.0),
+    mu=st.floats(0.05, 1.5),
+)
+def test_batched_roots_are_the_single_roots_and_unique(terms, ks, gamma, mu):
+    v = VFunction(terms)
+    params = ModelParams(gamma=gamma, mu=mu)
+    windows, _ = _solve_fibers(params, v, [TorusPoint(k) for k in ks])
+    w = windows[0]
+    single = find_discrete_spectrum(params, v, w.k)
+    for got, want in ((w.eigen_below, single.eigen_below), (w.eigen_above, single.eigen_above)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got == pytest.approx(want, abs=1e-12)
+    # Delta decreases outside the band, so with at most one root per side its
+    # sign at sampled z is + left of the root (or everywhere below without
+    # one) and - right of it (or everywhere above without one)
+    for root, edge, outward in ((w.eigen_below, w.m, -1.0), (w.eigen_above, w.M, 1.0)):
+        for dist in (0.2, 2.0, 20.0):
+            z = edge + outward * dist
+            if root is not None and abs(z - root) < 1e-6:
+                continue
+            left = z < root if root is not None else outward < 0.0
+            assert (fredholm_delta(params, v, w.k, z) > 0.0) == left
+        if root is not None and abs(root - edge) > _AUDIT_GAP:
+            assert fredholm_delta(params, v, w.k, root - 1e-5) > 0.0
+            assert fredholm_delta(params, v, w.k, root + 1e-5) < 0.0

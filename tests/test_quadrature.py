@@ -7,6 +7,7 @@ from friedrichs3d.quadrature import (
     NonConvergence,
     QuadratureConfig,
     ResolventKernel,
+    _KernelBatch,
     band_resolvent_integral,
     integrate_smooth,
     integrate_threshold,
@@ -185,6 +186,42 @@ def test_kernel_matches_riemann_sum_away_from_band(vtext, kcoords):
         ref = left_riemann_integral(f, n=96)
         got = kernel.integral_below(z) if side == "below" else -kernel.integral_above(z)
         assert got == pytest.approx(ref, rel=2e-11)
+
+
+def test_batched_kernel_build_is_bit_identical_to_a_batch_of_one(rng):
+    v = parse_v("0.9 + 0.2 * cos(p1) - 0.3 * sin(2*p2) + 0.25 * cos(p2) * cos(p3)")
+    points = [ORIGIN, PI_POINT, lambda_point(3), TorusPoint(np.pi, 0.3, -1.1)]
+    points += [TorusPoint(rng.uniform(-np.pi, np.pi, 3)) for _ in range(8)]
+    batch = _KernelBatch(v, points)
+    kernels = batch.kernels((0, 1))
+    rows = np.arange(2 * len(points))
+    delta = np.linspace(0.0, 40.0, rows.size)
+    values = kernels.integrals(rows, delta)
+    for i, p in enumerate(points):
+        one = ResolventKernel(v, p)
+        for name in ("m", "M", "eps", "d_free"):
+            assert getattr(batch, name)[i] == getattr(one._batch, name)[0]
+        for side in (0, 1):
+            r = side * len(points) + i
+            for name in ("A", "B", "d_free"):
+                assert getattr(kernels, name)[r] == getattr(one._kernels, name)[side]
+            assert np.array_equal(kernels.dot[r], one._kernels.dot[side])
+            alone = one._kernels.integrals(np.array([side]), delta[r : r + 1])
+            assert alone[0] == values[r]
+
+
+@pytest.mark.parametrize(
+    "kcoords", [(0.4, -1.2, 2.0), (np.pi, -1.2, 2.0), (np.pi, np.pi, 2.0), (np.pi, np.pi, np.pi)]
+)
+def test_kernel_slope_is_the_derivative_of_the_integral(v_cos_half, kcoords):
+    # the solver's Newton slope, for d = 3, 2, 1, 0 free axes
+    kernels = ResolventKernel(v_cos_half, TorusPoint(kcoords))._kernels
+    for side in (0, 1):
+        for delta in (1e-3, 0.5, 5.0):
+            h = 1e-4 * delta
+            probe = np.array([delta, delta - h, delta + h])
+            values, slopes = kernels.integrals(np.full(3, side), probe, slope=True)
+            assert slopes[0] == pytest.approx((values[1] - values[2]) / (2.0 * h), rel=1e-6)
 
 
 def test_kernel_closed_form_at_corner_momentum(v_one):
