@@ -35,14 +35,12 @@ from .lattice import (
 )
 from .oracle import DiscretizedOperator, dense_eigenvalues, discretize, extreme_eigenvalues
 from .quadrature import (
-    DenominatorVanishesOutsideBall,
     IntegralResult,
     NonConvergence,
     QuadratureConfig,
     ResolventKernel,
     band_resolvent_integral,
     integrate_smooth,
-    integrate_threshold,
 )
 from .thresholds import (
     CriticalCouplings,
@@ -83,9 +81,7 @@ __all__ = [
     "QuadratureConfig",
     "IntegralResult",
     "NonConvergence",
-    "DenominatorVanishesOutsideBall",
     "integrate_smooth",
-    "integrate_threshold",
     "ResolventKernel",
     "band_resolvent_integral",
     "ModelParams",

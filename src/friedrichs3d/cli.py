@@ -27,12 +27,7 @@ from .determinant import (
 )
 from .lattice import TorusPoint
 from .oracle import discretize, extreme_eigenvalues
-from .quadrature import (
-    DEFAULT_CONFIG,
-    DenominatorVanishesOutsideBall,
-    NonConvergence,
-    QuadratureConfig,
-)
+from .quadrature import DEFAULT_CONFIG, NonConvergence, QuadratureConfig
 from .thresholds import (
     DomainError,
     FitUnstable,
@@ -52,7 +47,6 @@ _VALIDATION_ERRORS = (
     VParseError,
     DomainError,
     ZeroCoupling,
-    DenominatorVanishesOutsideBall,
     InsideEssentialSpectrum,
     ValueError,
 )
@@ -82,14 +76,12 @@ class RunConfig:
     quad_base_grid: int = DEFAULT_CONFIG.base_grid
     quad_target_rel_tol: float = DEFAULT_CONFIG.target_rel_tol
     quad_max_refinements: int = DEFAULT_CONFIG.max_refinements
-    quad_singular_ball_radius: float = DEFAULT_CONFIG.singular_ball_radius
 
     def quadrature(self) -> QuadratureConfig:
         return QuadratureConfig(
             base_grid=self.quad_base_grid,
             target_rel_tol=self.quad_target_rel_tol,
             max_refinements=self.quad_max_refinements,
-            singular_ball_radius=self.quad_singular_ball_radius,
         )
 
     def coupling(self) -> VFunction:
@@ -156,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quad-base-grid", type=int, default=None)
     common.add_argument("--quad-tol", type=float, default=None)
     common.add_argument("--quad-max-refinements", type=int, default=None)
-    common.add_argument("--quad-ball-radius", type=float, default=None)
 
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--gamma", type=float, required=True)
@@ -229,8 +220,6 @@ def _config_from_args(args) -> RunConfig:
         cfg.quad_target_rel_tol = args.quad_tol
     if getattr(args, "quad_max_refinements", None) is not None:
         cfg.quad_max_refinements = args.quad_max_refinements
-    if getattr(args, "quad_ball_radius", None) is not None:
-        cfg.quad_singular_ball_radius = args.quad_ball_radius
     return cfg
 
 
@@ -315,30 +304,26 @@ def _cmd_critical(cfg: RunConfig):
     if cfg.gamma is None:
         raise ValueError("critical needs --gamma")
     v = cfg.coupling()
-    quad = cfg.quadrature()
-    cc = critical_couplings(cfg.gamma, v, quad)
+    cc = critical_couplings(cfg.gamma, v)
     results = {
         "gamma": cc.gamma,
         "mu_left": cc.mu_l,
         "mu_right": list(cc.mu_r),
         "gamma_star": list(cc.gamma_star),
     }
-    refinements = {"origin": threshold_integral(v, "origin", quad).refinements_used}
-    for i in range(1, 9):
-        refinements["lambda:%d" % i] = threshold_integral(v, "lambda:%d" % i, quad).refinements_used
-    diagnostics = {"quadrature_refinements": refinements}
+    points = ["origin"] + ["lambda:%d" % i for i in range(1, 9)]
+    diagnostics = {"threshold_integrals": {p: threshold_integral(v, p) for p in points}}
     return results, diagnostics, 0
 
 
 def _cmd_classify(cfg: RunConfig):
     params = cfg.model()
     v = cfg.coupling()
-    quad = cfg.quadrature()
     if cfg.point is None:
         raise ValueError("classify needs --point")
-    report = classify_threshold(params, v, cfg.point, quad)
-    resonance = resonance_function_check(params, v, cfg.point, quad)
-    first, second = eigenvector_residuals(params, v, cfg.point, cfg=quad)
+    report = classify_threshold(params, v, cfg.point)
+    resonance = resonance_function_check(params, v, cfg.point)
+    first, second = eigenvector_residuals(params, v, cfg.point)
     results = {
         "point": report.point,
         "verdict": report.verdict,
@@ -361,7 +346,6 @@ def _cmd_classify(cfg: RunConfig):
 
 def _cmd_scan_gamma(cfg: RunConfig):
     v = cfg.coupling()
-    quad = cfg.quadrature()
     i = cfg.i if cfg.i is not None else 1
     lo, hi = cfg.gamma_min, cfg.gamma_max
     if lo is None or hi is None:
@@ -373,13 +357,13 @@ def _cmd_scan_gamma(cfg: RunConfig):
         raise ValueError("need at least 2 samples")
 
     def gap(gamma: float) -> float:
-        return mu_left(gamma, v, quad) - mu_right(gamma, i, v, quad)
+        return mu_left(gamma, v) - mu_right(gamma, i, v)
 
     gammas = np.linspace(lo, hi, samples)
     rows = []
     for g in gammas:
-        left = mu_left(float(g), v, quad)
-        right = mu_right(float(g), i, v, quad)
+        left = mu_left(float(g), v)
+        right = mu_right(float(g), i, v)
         rows.append([float(g), left, right, float(np.sign(left - right))])
 
     signs = [r[3] for r in rows if r[3] != 0.0]
@@ -400,7 +384,7 @@ def _cmd_scan_gamma(cfg: RunConfig):
             crossing = 0.5 * (a + b)
             break
 
-    star = gamma_star(i, v, quad)
+    star = gamma_star(i, v)
     results = {
         "i": i,
         "rows": rows,

@@ -29,7 +29,6 @@ from .quadrature import (
     _KernelBatch,
     _Kernels,
     integrate_smooth,
-    integrate_threshold,
 )
 from .vfunction import VFunction
 
@@ -129,24 +128,19 @@ def fredholm_delta(
     return value
 
 
-def fredholm_delta_threshold(
-    params: ModelParams,
-    v: VFunction,
-    which: str,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def fredholm_delta_threshold(params: ModelParams, v: VFunction, which: str) -> float:
     """Determinant exactly at a threshold: z = 0 at k = 0, or z = 27/2 at k in Lambda.
 
-    Uses the singular-ball threshold quadrature.  At the origin
-    w1(0, t) = 2 eps(t), so the value is gamma - (mu^2/2) int v^2/eps; at a
-    Lambda point it is gamma - 9 + mu^2 int v^2/(9 - eps(k+t) - eps(t)).
+    Both are edge limits of the fiber's resolvent kernel, finite since all
+    three axes are free there.  At the origin the value is gamma -
+    mu^2 int v^2/w1(0, .) = gamma - (mu^2/2) int v^2/eps; at a Lambda point
+    it is gamma - 9 + mu^2 int v^2/(9 - eps(k+t) - eps(t)).
     """
     label, _, point = threshold_point(which)
+    kernel = ResolventKernel(v, point)
     if label == "origin":
-        integral = integrate_threshold(v, point, point, "min", cfg)
-        return params.gamma - 0.5 * params.mu ** 2 * integral.value
-    integral = integrate_threshold(v, point, point, "max", cfg)
-    return params.gamma - 9.0 + params.mu ** 2 * integral.value
+        return params.gamma - params.mu ** 2 * kernel.integral_below(kernel.m)
+    return params.gamma - 9.0 + params.mu ** 2 * kernel.integral_above(kernel.M)
 
 
 def _solve_rows(params: ModelParams, batch: _KernelBatch, kernels: _Kernels):

@@ -1,21 +1,17 @@
 """Integration on the momentum torus.
 
-Three routes, by integrand class:
+Two production routes, by integrand class:
 
 * `integrate_smooth`: periodic C-infinity integrands.  Tensor midpoint
   rule with grid doubling; spectral convergence, deterministic chunked
   summation.
-* `integrate_threshold`: integrands v^2/D whose denominator has one
-  quadratic zero inside the domain.  Ball around the singular point in
-  spherical coordinates (the volume element cancels the singularity),
-  complement smoothed by a radial partition of unity and fed to
-  `integrate_smooth`.
 * `ResolventKernel`: integrals v^2/(w1(k, .) - z) for z outside the
   fiber band.  Exact reduction to a 1d Laplace transform of modified
   Bessel products, accurate to machine precision uniformly down to the
   band edge, including the edge limit itself.  This is what the
   discrete-spectrum solver runs on, since grid quadrature degrades near
-  the edges while root-finding needs evaluations exactly there.
+  the edges while root-finding needs evaluations exactly there, and the
+  threshold integrals are its edge limits at k = 0 and on Lambda.
 """
 
 from __future__ import annotations
@@ -27,25 +23,15 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sc
 
-from .lattice import (
-    ORIGIN,
-    TWO_PI,
-    TorusPoint,
-    band_endpoints,
-    epsilon,
-    lambda_points,
-    reduce_coords,
-)
+from .lattice import TWO_PI, TorusPoint, band_endpoints, epsilon
 from .vfunction import VFunction
 
 __all__ = [
     "QuadratureConfig",
     "IntegralResult",
     "NonConvergence",
-    "DenominatorVanishesOutsideBall",
     "DEFAULT_CONFIG",
     "integrate_smooth",
-    "integrate_threshold",
     "ResolventKernel",
     "band_resolvent_integral",
 ]
@@ -55,26 +41,18 @@ class NonConvergence(RuntimeError):
     """Grid refinement exhausted `max_refinements` without meeting tolerance."""
 
 
-class DenominatorVanishesOutsideBall(ValueError):
-    """The threshold integrand's denominator has zeros beyond the singular ball."""
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Knobs for the torus quadrature routines.
+    """Knobs for the grid quadrature `integrate_smooth`.
 
     base_grid: points per axis of the coarsest midpoint grid (doubled on
     each refinement).  target_rel_tol: successive-refinement relative
-    tolerance.  singular_ball_radius: radius of the spherical patch cut
-    around a threshold singularity.
+    tolerance.
     """
 
     base_grid: int = 16
     target_rel_tol: float = 1e-8
     max_refinements: int = 6
-    # 1.2 keeps the cutoff bump mild enough that the complement integral
-    # settles on the 256-per-axis grid; tighter balls push it to 512.
-    singular_ball_radius: float = 1.2
 
     def __post_init__(self):
         if not (isinstance(self.base_grid, int) and self.base_grid >= 4):
@@ -83,8 +61,6 @@ class QuadratureConfig:
             raise ValueError("target_rel_tol must lie in [1e-14, 1e-2]")
         if not (isinstance(self.max_refinements, int) and 0 <= self.max_refinements <= 10):
             raise ValueError("max_refinements must be an integer in 0..10")
-        if not 0.05 <= self.singular_ball_radius <= 1.5:
-            raise ValueError("singular_ball_radius must lie in [0.05, 1.5]")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -148,155 +124,9 @@ def integrate_smooth(f, cfg: QuadratureConfig | None = None) -> IntegralResult:
 
 
 # ---------------------------------------------------------------------------
-# Threshold integrals with one quadratic denominator zero
-# ---------------------------------------------------------------------------
-
-_PAIRING_TOL = 1e-9
-
-
-def _radial_bump(r, delta: float):
-    """C-infinity cutoff: 1 for r <= delta/2, 0 for r >= delta, monotone between."""
-    u = (delta - np.asarray(r, dtype=float)) / (0.5 * delta)
-    with np.errstate(over="ignore", under="ignore"):
-        a = np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
-        b = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
-    return a / (a + b)
-
-
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def _ball_quadrature(v: VFunction, den, t0, delta: float, n_r: int, n_mu: int, n_phi: int) -> float:
-    # radial integration split at delta/2 where the cutoff starts; on the
-    # inner panel the integrand is analytic in r (the r^2 volume factor
-    # cancels the quadratic denominator zero), so Gauss converges fast
-    mu, wmu = _leggauss(n_mu)
-    phi = (np.arange(n_phi) + 0.5) * (TWO_PI / n_phi)
-    wphi = TWO_PI / n_phi
-    st = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
-    ux = st[:, None] * np.cos(phi)[None, :]
-    uy = st[:, None] * np.sin(phi)[None, :]
-    uz = np.broadcast_to(mu[:, None], ux.shape)
-
-    xr, wr = _leggauss(n_r)
-    total = 0.0
-    for a, b in ((0.0, 0.5 * delta), (0.5 * delta, delta)):
-        r = 0.5 * (b - a) * xr + 0.5 * (a + b)
-        wr_scaled = 0.5 * (b - a) * wr
-        px = t0[0] + r[:, None, None] * ux[None, :, :]
-        py = t0[1] + r[:, None, None] * uy[None, :, :]
-        pz = t0[2] + r[:, None, None] * uz[None, :, :]
-        d = np.asarray(den(px, py, pz), dtype=float)
-        vv = np.broadcast_to(np.asarray(v.evaluate(px, py, pz), dtype=float), px.shape)
-        chi = _radial_bump(r, delta)
-        weight = (wr_scaled * chi * r * r)[:, None, None] * wmu[None, :, None] * wphi
-        total += float(np.sum(vv * vv / d * weight))
-    return total
-
-
-def integrate_threshold(
-    v: VFunction,
-    k,
-    singular_point,
-    sign: str,
-    cfg: QuadratureConfig | None = None,
-) -> IntegralResult:
-    """Threshold integral of v^2 over a denominator with one quadratic zero.
-
-    sign="min" computes int v(t)^2 / eps(t) dt (lower threshold; requires
-    k and singular point at the origin).  sign="max" computes
-    int v(t)^2 / (9 - eps(k+t) - eps(t)) dt (upper threshold; requires k
-    equal to the singular point and equal to one of the eight Lambda
-    momenta).  Any other pairing has denominator zeros outside the
-    singular ball and raises DenominatorVanishesOutsideBall.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    if sign not in ("min", "max"):
-        raise ValueError("sign must be 'min' or 'max'")
-    k = k if isinstance(k, TorusPoint) else TorusPoint(k)
-    singular_point = (
-        singular_point if isinstance(singular_point, TorusPoint) else TorusPoint(singular_point)
-    )
-
-    if sign == "min":
-        if k.distance(ORIGIN) > _PAIRING_TOL or singular_point.distance(ORIGIN) > _PAIRING_TOL:
-            raise DenominatorVanishesOutsideBall(
-                "sign='min' is only singular-ball-clean for k = 0 with the singular "
-                "point at the origin"
-            )
-
-        def den(px, py, pz):
-            return 3.0 - np.cos(px) - np.cos(py) - np.cos(pz)
-
-    else:
-        on_lambda = any(k.distance(q) <= _PAIRING_TOL for q in lambda_points())
-        if not on_lambda or singular_point.distance(k) > _PAIRING_TOL:
-            raise DenominatorVanishesOutsideBall(
-                "sign='max' is only singular-ball-clean for k on the Lambda set "
-                "with the singular point at k itself"
-            )
-        k1, k2, k3 = k.coords
-
-        def den(px, py, pz):
-            return (
-                3.0
-                + np.cos(k1 + px)
-                + np.cos(px)
-                + np.cos(k2 + py)
-                + np.cos(py)
-                + np.cos(k3 + pz)
-                + np.cos(pz)
-            )
-
-    if v.is_zero:
-        return IntegralResult(value=0.0, est_error=0.0, refinements_used=0, converged=True)
-
-    delta = cfg.singular_ball_radius
-    t0 = singular_point.to_array()
-    seen_min_den = [math.inf]
-
-    def f_complement(px, py, pz):
-        dx = reduce_coords(px - t0[0])
-        dy = reduce_coords(py - t0[1])
-        dz = reduce_coords(pz - t0[2])
-        r = np.sqrt(dx * dx + dy * dy + dz * dz)
-        w = 1.0 - _radial_bump(r, delta)
-        live = w > 1e-12
-        d = np.asarray(den(px, py, pz), dtype=float)
-        if np.any(live):
-            masked = np.where(live, np.abs(d), math.inf)
-            seen_min_den[0] = min(seen_min_den[0], float(np.min(masked)))
-        vv = np.asarray(v.evaluate(px, py, pz), dtype=float)
-        safe = np.where(live, d, 1.0)
-        return np.where(live, w * vv * vv / safe, 0.0)
-
-    complement = integrate_smooth(f_complement, cfg)
-    if seen_min_den[0] < 1e-10:
-        raise DenominatorVanishesOutsideBall(
-            "denominator reaches %.3g outside the singular ball" % seen_min_den[0]
-        )
-
-    ball_coarse = _ball_quadrature(v, den, t0, delta, 24, 24, 48)
-    ball_fine = _ball_quadrature(v, den, t0, delta, 32, 32, 64)
-    ball_err = abs(ball_fine - ball_coarse)
-
-    value = complement.value + ball_fine
-    est = complement.est_error + ball_err
-    ball_ok = ball_err <= max(cfg.target_rel_tol * max(abs(value), 1e-30), _ABS_FLOOR)
-    return IntegralResult(
-        value=value,
-        est_error=est,
-        refinements_used=complement.refinements_used,
-        converged=complement.converged and ball_ok,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Resolvent-type integrals via the 1d Laplace reduction
 # ---------------------------------------------------------------------------
+
 
 _S_PANEL_EDGES = (
     0.0,
@@ -320,7 +150,7 @@ _ROWS_PER_CHUNK = 32
 
 @lru_cache(maxsize=1)
 def _laplace_nodes():
-    x, w = _leggauss(_GL_PER_PANEL)
+    x, w = np.polynomial.legendre.leggauss(_GL_PER_PANEL)
     nodes, weights = [], []
     for a, b in zip(_S_PANEL_EDGES[:-1], _S_PANEL_EDGES[1:]):
         nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))

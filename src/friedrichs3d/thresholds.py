@@ -7,6 +7,8 @@ determinant vanishes exactly at the threshold:
     mu_left(gamma)  = sqrt(2 gamma  / int v^2/eps)            (gamma > 0)
     mu_right(gamma) = sqrt((9 - gamma) / int v^2/(9-eps-eps)) (gamma < 9)
 
+Both integrals are edge limits of the fiber's resolvent kernel.
+
 At the critical coupling the threshold solution psi = (1, f1) with
 f1(q) = -mu v(q) / (w1(k, q) - z0) is square-integrable iff v vanishes
 at the singular point; that dichotomy (eigenvalue vs virtual level) is
@@ -23,8 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .determinant import ModelParams
-from .lattice import TorusPoint, lambda_point, threshold_point
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_threshold
+from .lattice import ORIGIN, TorusPoint, lambda_point, reduce_coords, threshold_point
+from .quadrature import ResolventKernel
 from .vfunction import VFunction
 
 __all__ = [
@@ -45,6 +47,10 @@ __all__ = [
 
 _MATCH_RTOL = 1e-8
 _VANISH_TOL = 1e-12
+# outer radius of the shells of `l2_membership_probe`
+_PROBE_RADIUS = 1.2
+# one request works on one v, which has nine threshold integrals
+_CACHE_SIZE = 9
 
 
 class DomainError(ValueError):
@@ -59,45 +65,51 @@ class FitUnstable(RuntimeError):
     """The shell-integral log-log fit is too far from a power law."""
 
 
-@lru_cache(maxsize=128)
-def _threshold_integral_cached(v: VFunction, label: str, index, cfg: QuadratureConfig):
+@lru_cache(maxsize=_CACHE_SIZE)
+def _threshold_integral_cached(v: VFunction, label: str, index) -> float:
     if label == "origin":
-        point = TorusPoint(0.0, 0.0, 0.0)
-        return integrate_threshold(v, point, point, "min", cfg)
-    point = lambda_point(index)
-    return integrate_threshold(v, point, point, "max", cfg)
+        # w1(0, .) = 2 eps, so int v^2/eps is twice the lower edge limit
+        kernel = ResolventKernel(v, ORIGIN)
+        return 2.0 * kernel.integral_below(kernel.m)
+    kernel = ResolventKernel(v, lambda_point(index))
+    return kernel.integral_above(kernel.M)
 
 
-def threshold_integral(v: VFunction, which: str, cfg: QuadratureConfig | None = None):
-    """Cached threshold integral for 'origin' or 'lambda:<i>' (IntegralResult)."""
+def threshold_integral(v: VFunction, which: str) -> float:
+    """Cached threshold integral for 'origin' or 'lambda:<i>'.
+
+    I_min = int v^2/eps at the origin and I_max = int v^2/(9 - eps(k+t) -
+    eps(t)) at a Lambda point k, both exact edge limits of the fiber's
+    resolvent kernel (z = 0 at k = 0, z = 27/2 on Lambda).
+    """
     label, index, _ = threshold_point(which)
-    return _threshold_integral_cached(v, label, index, cfg or DEFAULT_CONFIG)
+    return _threshold_integral_cached(v, label, index)
 
 
-def mu_left(gamma: float, v: VFunction, cfg: QuadratureConfig | None = None) -> float:
+def mu_left(gamma: float, v: VFunction) -> float:
     """Critical coupling for the lower threshold; needs gamma > 0."""
     if not gamma > 0.0:
         raise DomainError("the lower critical coupling needs gamma > 0, got %.17g" % gamma)
-    integral = threshold_integral(v, "origin", cfg).value
+    integral = threshold_integral(v, "origin")
     if integral <= 0.0:
         raise ZeroCoupling("int v^2/eps vanishes; no lower critical coupling")
     return math.sqrt(2.0 * gamma / integral)
 
 
-def mu_right(gamma: float, i: int, v: VFunction, cfg: QuadratureConfig | None = None) -> float:
+def mu_right(gamma: float, i: int, v: VFunction) -> float:
     """Critical coupling for the upper threshold at the i-th Lambda point; gamma < 9."""
     if not gamma < 9.0:
         raise DomainError("the upper critical coupling needs gamma < 9, got %.17g" % gamma)
-    integral = threshold_integral(v, "lambda:%d" % i, cfg).value
+    integral = threshold_integral(v, "lambda:%d" % i)
     if integral <= 0.0:
         raise ZeroCoupling("the upper threshold integral vanishes; no critical coupling")
     return math.sqrt((9.0 - gamma) / integral)
 
 
-def gamma_star(i: int, v: VFunction, cfg: QuadratureConfig | None = None) -> float:
+def gamma_star(i: int, v: VFunction) -> float:
     """The gamma where the two critical couplings coincide: 9 I_min / (2 I_max + I_min)."""
-    i_min = threshold_integral(v, "origin", cfg).value
-    i_max = threshold_integral(v, "lambda:%d" % i, cfg).value
+    i_min = threshold_integral(v, "origin")
+    i_max = threshold_integral(v, "lambda:%d" % i)
     if i_min <= 0.0 or i_max <= 0.0:
         raise ZeroCoupling("threshold integrals vanish; no coupling crossover")
     return 9.0 * i_min / (2.0 * i_max + i_min)
@@ -113,12 +125,10 @@ class CriticalCouplings:
     gamma_star: tuple
 
 
-def critical_couplings(
-    gamma: float, v: VFunction, cfg: QuadratureConfig | None = None
-) -> CriticalCouplings:
-    mu_l = mu_left(gamma, v, cfg) if gamma > 0.0 else None
-    mu_r = tuple(mu_right(gamma, i, v, cfg) if gamma < 9.0 else None for i in range(1, 9))
-    stars = tuple(gamma_star(i, v, cfg) for i in range(1, 9))
+def critical_couplings(gamma: float, v: VFunction) -> CriticalCouplings:
+    mu_l = mu_left(gamma, v) if gamma > 0.0 else None
+    mu_r = tuple(mu_right(gamma, i, v) if gamma < 9.0 else None for i in range(1, 9))
+    stars = tuple(gamma_star(i, v) for i in range(1, 9))
     return CriticalCouplings(gamma=gamma, mu_l=mu_l, mu_r=mu_r, gamma_star=stars)
 
 
@@ -152,14 +162,37 @@ def _denominator_for(label: str, point: TorusPoint):
     return den
 
 
-def _critical_mu_for(params_gamma: float, label: str, index, v, cfg) -> float:
+def _critical_mu_for(params_gamma: float, label: str, index, v) -> float:
     if label == "origin":
         if not params_gamma > 0.0:
             raise DomainError("lower-threshold classification needs gamma > 0")
-        return mu_left(params_gamma, v, cfg)
+        return mu_left(params_gamma, v)
     if not params_gamma < 9.0:
         raise DomainError("upper-threshold classification needs gamma < 9")
-    return mu_right(params_gamma, index, v, cfg)
+    return mu_right(params_gamma, index, v)
+
+
+def _samples_off_zero_set(v: VFunction, label: str, point: TorusPoint, seed: int, n: int):
+    """The first n uniform momenta q with |w1 - z0| >= 1e-6, drawn from `seed`.
+
+    Rows come in blocks from one stream, so they are the momenta a loop
+    drawing one q at a time from the same seed would keep.  Returns the
+    raw draws (rows), v at their reduced coordinates, and w1 - z0 there.
+    """
+    den = _denominator_for(label, point)
+    rng = np.random.default_rng(seed)
+    qs, ds = [np.empty((0, 3))], [np.empty(0)]
+    while sum(len(d) for d in ds) < n:
+        q = rng.uniform(-np.pi, np.pi, size=(n, 3))
+        d = den(q[:, 0], q[:, 1], q[:, 2])
+        keep = np.abs(d) >= 1e-6  # skip the measure-zero-ish neighborhood of the zero set
+        qs.append(q[keep])
+        ds.append(d[keep])
+    q = np.concatenate(qs)[:n]
+    d = np.concatenate(ds)[:n]
+    p = reduce_coords(q)
+    vv = np.broadcast_to(np.asarray(v.evaluate(p[:, 0], p[:, 1], p[:, 2]), dtype=float), (n,))
+    return q, vv, d
 
 
 @dataclass(frozen=True)
@@ -176,23 +209,17 @@ class ThresholdReport:
     f1_samples: tuple
 
 
-def l2_membership_probe(
-    v: VFunction,
-    params: ModelParams,
-    point: str,
-    cfg: QuadratureConfig | None = None,
-):
+def l2_membership_probe(v: VFunction, params: ModelParams, point: str):
     """Estimate whether f1 = -mu v / (w1 - z0) is square-integrable near the threshold.
 
     Integrates |f1|^2 over 11 dyadic shells with outer radii
-    delta * 2^{-j} and fits the log-log slope s of shell integral against
+    1.2 * 2^{-j} and fits the log-log slope s of shell integral against
     outer radius.  A power-law local behavior |f1| ~ r^{theta - 1} gives
     s = 2 theta - 1, so s = -1 / +1 / +3 for theta = 0 / 1 / 2; membership
     in L^2 is s > 0.1 (divergent harmonic sum exactly at s = 0).  Returns
     (local_exponent, in_l2) with local_exponent = (s + 1)/2.  Raises
     FitUnstable when the fit residual shows no clean power law.
     """
-    cfg = cfg or DEFAULT_CONFIG
     label, index, pt = threshold_point(point)
     if v.is_zero:
         raise ZeroCoupling("the coupling function vanishes identically")
@@ -200,7 +227,7 @@ def l2_membership_probe(
     t0 = pt.to_array()
     mu = params.mu
 
-    radii = cfg.singular_ball_radius * 0.5 ** np.arange(12)
+    radii = _PROBE_RADIUS * 0.5 ** np.arange(12)
     n_r, n_mu, n_phi = 12, 16, 32
     xr, wr = np.polynomial.legendre.leggauss(n_r)
     xm, wm = np.polynomial.legendre.leggauss(n_mu)
@@ -237,12 +264,7 @@ def l2_membership_probe(
     return local_exponent, bool(slope > 0.1)
 
 
-def classify_threshold(
-    params: ModelParams,
-    v: VFunction,
-    point: str,
-    cfg: QuadratureConfig | None = None,
-) -> ThresholdReport:
+def classify_threshold(params: ModelParams, v: VFunction, point: str) -> ThresholdReport:
     """Decide eigenvalue / virtual level / nothing at a threshold.
 
     At mu equal (to 1e-8 relative) to the matched critical coupling, the
@@ -251,12 +273,11 @@ def classify_threshold(
     verdict is "none".  The report carries the candidate solution data:
     f0 = 1 and pointwise samples of f1 = -mu v / (w1 - z0).
     """
-    cfg = cfg or DEFAULT_CONFIG
     label, index, pt = threshold_point(point)
-    mu_c = _critical_mu_for(params.gamma, label, index, v, cfg)
+    mu_c = _critical_mu_for(params.gamma, label, index, v)
     matched = abs(params.mu - mu_c) <= _MATCH_RTOL * mu_c
     v_at = v(pt)
-    local_exponent, in_l2 = l2_membership_probe(v, params, point, cfg)
+    local_exponent, in_l2 = l2_membership_probe(v, params, point)
 
     if not matched:
         verdict = "none"
@@ -265,16 +286,9 @@ def classify_threshold(
     else:
         verdict = "virtual_level"
 
-    den = _denominator_for(label, pt)
-    rng = np.random.default_rng(12345)
-    samples = []
-    while len(samples) < 100:
-        q = rng.uniform(-np.pi, np.pi, size=3)
-        d = float(den(q[0], q[1], q[2]))
-        if abs(d) < 1e-6:
-            continue  # skip the measure-zero-ish neighborhood of the zero set
-        f1 = -params.mu * v(TorusPoint(q)) / d
-        samples.append((TorusPoint(q), f1))
+    q, vv, d = _samples_off_zero_set(v, label, pt, 12345, 100)
+    f1 = -params.mu * vv / d
+    samples = [(TorusPoint(row), float(f)) for row, f in zip(q, f1)]
 
     return ThresholdReport(
         point=point,
@@ -288,12 +302,7 @@ def classify_threshold(
     )
 
 
-def resonance_function_check(
-    params: ModelParams,
-    v: VFunction,
-    point: str,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def resonance_function_check(params: ModelParams, v: VFunction, point: str) -> float:
     """Residual |Delta(threshold)| / scale at the given parameters.
 
     Zero exactly at the critical coupling: the determinant at the threshold
@@ -302,44 +311,27 @@ def resonance_function_check(
     determinant value divided by its mu = 0 size.
     """
     label, index, pt = threshold_point(point)
-    mu_c = _critical_mu_for(params.gamma, label, index, v, cfg)
+    mu_c = _critical_mu_for(params.gamma, label, index, v)
     return abs(1.0 - (params.mu / mu_c) ** 2)
 
 
-def eigenvector_residuals(
-    params: ModelParams,
-    v: VFunction,
-    point: str,
-    n_samples: int = 100,
-    cfg: QuadratureConfig | None = None,
-):
+def eigenvector_residuals(params: ModelParams, v: VFunction, point: str, n_samples: int = 100):
     """Residuals of the candidate threshold solution psi = (1, f1).
 
-    First component: |(w0 - z0) f0 - mu int v f1| computed with the
-    threshold quadrature (this is |Delta| at the threshold).  Second
+    First component: |(w0 - z0) f0 - mu int v f1| computed from the
+    threshold integral (this is |Delta| at the threshold).  Second
     component: max over random samples of |mu v f0 + (w1 - z0) f1|, which
     vanishes identically by construction of f1; evaluated honestly.
     Returns (first_residual, second_residual_max).
     """
-    cfg = cfg or DEFAULT_CONFIG
     label, index, pt = threshold_point(point)
-    integral = threshold_integral(v, point, cfg).value
+    integral = threshold_integral(v, point)
     if label == "origin":
         first = abs(params.gamma - 0.5 * params.mu ** 2 * integral)
     else:
         first = abs(params.gamma - 9.0 + params.mu ** 2 * integral)
 
-    den = _denominator_for(label, pt)
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    count = 0
-    while count < n_samples:
-        q = rng.uniform(-np.pi, np.pi, size=3)
-        d = float(den(q[0], q[1], q[2]))
-        if abs(d) < 1e-6:
-            continue
-        f1 = -params.mu * v(TorusPoint(q)) / d
-        resid = abs(params.mu * v(TorusPoint(q)) + d * f1)
-        worst = max(worst, resid)
-        count += 1
+    _, vv, d = _samples_off_zero_set(v, label, pt, 2024, n_samples)
+    f1 = -params.mu * vv / d
+    worst = float(np.max(np.abs(params.mu * vv + d * f1), initial=0.0))
     return first, worst

@@ -18,6 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 MAX_HARMONIC = 4
+# one request works on one v: fresh v must not pile up in the coefficient caches
+_CACHE_SIZE = 4
 
 __all__ = ["VFunction", "VParseError", "parse_v"]
 
@@ -283,7 +285,7 @@ class VFunction:
         return "VFunction<%s>" % " + ".join(bits)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _exp_coeffs_cached(v: VFunction):
     acc = {}
     for m, c in v.terms:
@@ -301,7 +303,7 @@ def _exp_coeffs_cached(v: VFunction):
     return tuple(sorted((k, c) for k, c in acc.items() if abs(c) > 0.0))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _squared_exp_cached(v: VFunction):
     base = _exp_coeffs_cached(v)
     acc = {}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from friedrichs3d import QuadratureConfig, parse_v
+from friedrichs3d import parse_v
 from friedrichs3d.cli import main as cli_main
 
 
@@ -50,11 +50,6 @@ def v_one_minus_cos():
 def v_product():
     # zero at the origin and on Lambda
     return parse_v("(1 - cos(p1)) * (cos(p1) + 0.5)")
-
-
-@pytest.fixture(scope="session")
-def quad_cfg():
-    return QuadratureConfig()
 
 
 @pytest.fixture

@@ -2,23 +2,34 @@
 
 Everything here deliberately avoids the production quadrature and solver
 code paths: brute tensor scans, left-endpoint Riemann sums, a graded polar
-mesh with Richardson extrapolation, and closed-form constants.  Agreement
-between these routes and the library is what the tests certify.
+mesh with Richardson extrapolation, a singular-ball split of threshold
+integrals, and closed-form constants.  Agreement between these routes and
+the library is what the tests certify.  Nothing here imports friedrichs3d:
+the benchmark loads this module without the package on its path.
 """
 
 from __future__ import annotations
 
+import math
+
+import mpmath
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Lattice Green's function value at the origin for the 3d simple cubic
-# lattice, via the product-of-Bessel representation
-#   G = int_0^inf exp(-3s) I0(s)^3 ds
-# evaluated offline with mpmath to 50 digits and rounded to double.
-# The dispersion integral over the torus follows as (2pi)^3 * G / 3.
-WATSON_G = 1.516386059151978
-WATSON_I_EPS = 125.37996187790857  # (2pi)^3 * WATSON_G / 3
+
+def _watson_constant() -> float:
+    """Glasser-Zucker (1977): the lattice Green's function of the simple cubic
+    lattice at the origin, G = int_0^inf exp(-3s) I0(s)^3 ds, in closed form
+    sqrt(6)/(32 pi^3) Gamma(1/24) Gamma(5/24) Gamma(7/24) Gamma(11/24)."""
+    with mpmath.workdps(30):
+        g = [mpmath.gamma(mpmath.mpf(n) / 24) for n in (1, 5, 7, 11)]
+        return float(mpmath.sqrt(6) / (32 * mpmath.pi ** 3) * g[0] * g[1] * g[2] * g[3])
+
+
+WATSON_G = _watson_constant()
+# the dispersion integral over the torus: int 1/eps = (2pi)^3 * G / 3
+WATSON_I_EPS = TWO_PI ** 3 * WATSON_G / 3.0
 
 # Exact value of int v^2/eps at v = 1 restricted to the lower edge point:
 # the edge integral carries the extra 1/2 from the quadratic normal form.
@@ -121,3 +132,154 @@ def pi_point_roots(gamma: float, mu: float):
         return product / above, above
     below = 0.5 * (s - root)
     return below, product / below
+
+
+# ---------------------------------------------------------------------------
+# Singular-ball quadrature of threshold integrals
+# ---------------------------------------------------------------------------
+
+BALL_RADIUS = 1.2
+_PAIRING_TOL = 1e-9
+_LAMBDA_COORD = TWO_PI / 3.0
+
+
+class DenominatorVanishesOutsideBall(ValueError):
+    """The threshold integrand's denominator has zeros beyond the singular ball."""
+
+
+def _reduce(x):
+    y = np.mod(x, TWO_PI)
+    return np.where(y > np.pi, y - TWO_PI, y)
+
+
+def _distance(a, b) -> float:
+    return float(np.linalg.norm(_reduce(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))))
+
+
+def _settled_riemann_integral(f, tol: float, n: int = 16, max_n: int = 512):
+    """`left_riemann_integral` on grids doubled until two values agree to `tol`."""
+    prev = left_riemann_integral(f, n)
+    while n < max_n:
+        n *= 2
+        cur = left_riemann_integral(f, n)
+        if abs(cur - prev) <= max(tol * abs(cur), 1e-12):
+            return cur, abs(cur - prev)
+        prev = cur
+    raise RuntimeError("Riemann sums did not settle by a %d^3 grid" % n)
+
+
+def _radial_bump(r, delta: float):
+    """C-infinity cutoff: 1 for r <= delta/2, 0 for r >= delta, monotone between."""
+    u = (delta - np.asarray(r, dtype=float)) / (0.5 * delta)
+    with np.errstate(over="ignore", under="ignore"):
+        a = np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
+        b = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
+    return a / (a + b)
+
+
+def _ball_quadrature(v, den, t0, delta: float, n_r: int, n_mu: int, n_phi: int) -> float:
+    # radial integration split at delta/2 where the cutoff starts; on the
+    # inner panel the integrand is analytic in r (the r^2 volume factor
+    # cancels the quadratic denominator zero), so Gauss converges fast
+    mu, wmu = np.polynomial.legendre.leggauss(n_mu)
+    phi = (np.arange(n_phi) + 0.5) * (TWO_PI / n_phi)
+    wphi = TWO_PI / n_phi
+    st = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
+    ux = st[:, None] * np.cos(phi)[None, :]
+    uy = st[:, None] * np.sin(phi)[None, :]
+    uz = np.broadcast_to(mu[:, None], ux.shape)
+
+    xr, wr = np.polynomial.legendre.leggauss(n_r)
+    total = 0.0
+    for a, b in ((0.0, 0.5 * delta), (0.5 * delta, delta)):
+        r = 0.5 * (b - a) * xr + 0.5 * (a + b)
+        wr_scaled = 0.5 * (b - a) * wr
+        px = t0[0] + r[:, None, None] * ux[None, :, :]
+        py = t0[1] + r[:, None, None] * uy[None, :, :]
+        pz = t0[2] + r[:, None, None] * uz[None, :, :]
+        d = np.asarray(den(px, py, pz), dtype=float)
+        vv = np.broadcast_to(np.asarray(v.evaluate(px, py, pz), dtype=float), px.shape)
+        chi = _radial_bump(r, delta)
+        weight = (wr_scaled * chi * r * r)[:, None, None] * wmu[None, :, None] * wphi
+        total += float(np.sum(vv * vv / d * weight))
+    return total
+
+
+def integrate_threshold(v, k, singular_point, sign: str, radius: float = BALL_RADIUS, tol: float = 1e-8):
+    """Threshold integral of v^2 over a denominator with one quadratic zero.
+
+    sign="min" computes int v(t)^2 / eps(t) dt (lower threshold; requires
+    k and singular point at the origin).  sign="max" computes
+    int v(t)^2 / (9 - eps(k+t) - eps(t)) dt (upper threshold; requires k
+    equal to the singular point and equal to one of the eight Lambda
+    momenta).  Any other pairing has denominator zeros outside the
+    singular ball and raises DenominatorVanishesOutsideBall.
+
+    The ball of `radius` around the singular point is integrated in
+    spherical coordinates (the volume element cancels the singularity);
+    its complement, smoothed by a radial partition of unity, by Riemann
+    sums.  `v` needs only `evaluate(px, py, pz)` on arrays.
+    Returns (value, error_estimate); raises RuntimeError when either
+    part misses `tol`.
+    """
+    if sign not in ("min", "max"):
+        raise ValueError("sign must be 'min' or 'max'")
+    k = np.asarray(k, dtype=float)
+    t0 = np.asarray(singular_point, dtype=float)
+    origin = np.zeros(3)
+
+    if sign == "min":
+        if _distance(k, origin) > _PAIRING_TOL or _distance(t0, origin) > _PAIRING_TOL:
+            raise DenominatorVanishesOutsideBall(
+                "sign='min' is only singular-ball-clean for k = 0 with the singular "
+                "point at the origin"
+            )
+
+        def den(px, py, pz):
+            return 3.0 - np.cos(px) - np.cos(py) - np.cos(pz)
+
+    else:
+        on_lambda = all(abs(abs(float(c)) - _LAMBDA_COORD) <= _PAIRING_TOL for c in _reduce(k))
+        if not on_lambda or _distance(t0, k) > _PAIRING_TOL:
+            raise DenominatorVanishesOutsideBall(
+                "sign='max' is only singular-ball-clean for k on the Lambda set "
+                "with the singular point at k itself"
+            )
+        k1, k2, k3 = k
+
+        def den(px, py, pz):
+            return (
+                3.0
+                + np.cos(k1 + px)
+                + np.cos(px)
+                + np.cos(k2 + py)
+                + np.cos(py)
+                + np.cos(k3 + pz)
+                + np.cos(pz)
+            )
+
+    seen_min_den = [math.inf]
+
+    def f_complement(px, py, pz):
+        r = np.sqrt(_reduce(px - t0[0]) ** 2 + _reduce(py - t0[1]) ** 2 + _reduce(pz - t0[2]) ** 2)
+        w = 1.0 - _radial_bump(r, radius)
+        live = w > 1e-12
+        d = np.asarray(den(px, py, pz), dtype=float)
+        if np.any(live):
+            seen_min_den[0] = min(seen_min_den[0], float(np.min(np.where(live, np.abs(d), math.inf))))
+        vv = np.asarray(v.evaluate(px, py, pz), dtype=float)
+        return np.where(live, w * vv * vv / np.where(live, d, 1.0), 0.0)
+
+    complement, complement_err = _settled_riemann_integral(f_complement, tol)
+    if seen_min_den[0] < 1e-10:
+        raise DenominatorVanishesOutsideBall(
+            "denominator reaches %.3g outside the singular ball" % seen_min_den[0]
+        )
+
+    ball_coarse = _ball_quadrature(v, den, t0, radius, 24, 24, 48)
+    ball_fine = _ball_quadrature(v, den, t0, radius, 32, 32, 64)
+    ball_err = abs(ball_fine - ball_coarse)
+    value = complement + ball_fine
+    if ball_err > max(tol * abs(value), 1e-12):
+        raise RuntimeError("ball quadrature moved by %.3g between its two rules" % ball_err)
+    return value, complement_err + ball_err

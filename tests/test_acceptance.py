@@ -156,16 +156,16 @@ def test_criterion_05_critical_coupling_identities(v_one, v_cos_half, v_one_minu
     gamma = 2.3
     worst_identity = 0.0
     for v in (v_one, v_cos_half, v_one_minus_cos):
-        i_min = threshold_integral(v, "origin").value
+        i_min = threshold_integral(v, "origin")
         worst_identity = max(
             worst_identity, abs(mu_left(gamma, v) ** 2 * i_min - 2.0 * gamma)
         )
-        i_max = threshold_integral(v, "lambda:3").value
+        i_max = threshold_integral(v, "lambda:3")
         worst_identity = max(
             worst_identity, abs(mu_right(gamma, 3, v) ** 2 * i_max - (9.0 - gamma))
         )
     # non-circular anchor: for v = 1 both threshold integrals equal the
-    # frozen dispersion constant
+    # dispersion constant from its Gamma-product closed form
     worst_identity = max(
         worst_identity, abs(mu_left(gamma, v_one) ** 2 * WATSON_I_EPS - 2.0 * gamma)
     )

@@ -35,7 +35,7 @@ def test_rerun_from_embedded_config_is_byte_identical(run_cli, tmp_path):
     code, _, _ = run_cli(
         "spectrum",
         "--gamma", "1.2", "--mu", "0.8", "--k", "0,0,0",
-        "--quad-ball-radius", "0.9",
+        "--quad-tol", "1e-9",
         "--output", str(first),
     )
     assert code == 0
@@ -44,7 +44,7 @@ def test_rerun_from_embedded_config_is_byte_identical(run_cli, tmp_path):
     assert filecmp.cmp(first, second, shallow=False)
     # the embedded config never names the delivery path
     assert json.loads(first.read_text())["config"]["output"] is None
-    assert json.loads(first.read_text())["config"]["quad_singular_ball_radius"] == 0.9
+    assert json.loads(first.read_text())["config"]["quad_target_rel_tol"] == 1e-9
 
 
 def test_bands_csv_shape(run_cli):
@@ -99,6 +99,16 @@ def test_config_with_the_removed_threads_key_is_rejected(run_cli, tmp_path):
     assert "threads" in err
 
 
+def test_config_with_the_removed_ball_radius_key_is_rejected(run_cli, tmp_path):
+    old = tmp_path / "report.json"
+    old.write_text(json.dumps({"config": {"command": "critical", "gamma": 2.0, "quad_singular_ball_radius": 1.2}}))
+    code, _, err = run_cli("--config", str(old))
+    assert code == 2
+    assert "quad_singular_ball_radius" in err
+    code, _, _ = run_cli("critical", "--gamma", "2", "--quad-ball-radius", "0.9")
+    assert code == 2
+
+
 def test_spectrum_brackets_roots_far_from_the_band(run_cli):
     # the rank-one bound brackets the root above the band at any gamma
     gamma, mu, k = 1e8, 0.6, (0.5, 0.1, -0.8)
@@ -118,6 +128,9 @@ def test_critical_json_values(run_cli):
     assert len(res["mu_right"]) == 8
     assert res["mu_left"] == pytest.approx(np.sqrt(4.0 / 125.37996187790857), rel=1e-8)
     assert all(g == pytest.approx(3.0, abs=1e-8) for g in res["gamma_star"])
+    integrals = json.loads(out)["diagnostics"]["threshold_integrals"]
+    assert sorted(integrals) == ["lambda:%d" % i for i in range(1, 9)] + ["origin"]
+    assert all(value == pytest.approx(125.37996187790857, rel=1e-13) for value in integrals.values())
 
 
 def test_classify_reports_verdict(run_cli):
@@ -199,9 +212,10 @@ def test_validation_failures_exit_two(run_cli, argv):
 
 
 def test_numerical_failure_exits_three(run_cli):
+    # the grid-quadrature audit of `spectrum` cannot meet 1e-13 without refining
     code, _, err = run_cli(
-        "critical", "--gamma", "2", "--v", "1 + 0.1 * cos(3*p1)",
-        "--quad-max-refinements", "0", "--quad-tol", "1e-13",
+        "spectrum", "--gamma", "-2", "--mu", "0.6", "--k", "0.5,0.1,-0.8",
+        "--v", "1 + 0.1 * cos(3*p1)", "--quad-max-refinements", "0", "--quad-tol", "1e-13",
     )
     assert code == 3
     assert "refin" in err or "converge" in err.lower()

@@ -3,20 +3,21 @@ import pytest
 
 from friedrichs3d.lattice import ORIGIN, PI_POINT, TorusPoint, lambda_point
 from friedrichs3d.quadrature import (
-    DenominatorVanishesOutsideBall,
     NonConvergence,
     QuadratureConfig,
     ResolventKernel,
     _KernelBatch,
     band_resolvent_integral,
     integrate_smooth,
-    integrate_threshold,
 )
+from friedrichs3d.thresholds import threshold_integral
 from friedrichs3d.vfunction import VFunction, parse_v
 
 from oracles import (
     WATSON_HALF,
     WATSON_I_EPS,
+    DenominatorVanishesOutsideBall,
+    integrate_threshold,
     left_riemann_integral,
     polar_cell_integral,
 )
@@ -33,8 +34,6 @@ def test_config_validation():
         dict(target_rel_tol=0.5),
         dict(target_rel_tol=1e-15),
         dict(max_refinements=11),
-        dict(singular_ball_radius=0.01),
-        dict(singular_ball_radius=2.0),
     ):
         with pytest.raises(ValueError):
             QuadratureConfig(**kwargs)
@@ -91,40 +90,34 @@ def test_smooth_quadrature_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# threshold integrals
+# threshold integrals: the kernel's edge limits against independent routes
 # ---------------------------------------------------------------------------
 
 
 def test_lower_threshold_integral_matches_watson_constant(v_one):
-    res = integrate_threshold(v_one, ORIGIN, ORIGIN, "min")
-    assert res.converged
-    assert res.value == pytest.approx(WATSON_I_EPS, rel=1e-9)
+    # the singular-ball oracle against the closed form it is compared with below
+    value, _ = integrate_threshold(v_one, ORIGIN, ORIGIN, "min")
+    assert value == pytest.approx(WATSON_I_EPS, rel=1e-9)
 
 
-def test_upper_threshold_integral_matches_watson_at_every_corner(v_one):
-    # for v = 1 the upper-edge integral collapses to the dispersion integral
-    vals = []
-    for i in range(1, 9):
-        lam = lambda_point(i)
-        res = integrate_threshold(v_one, lam, lam, "max")
-        assert res.converged
-        vals.append(res.value)
-    assert np.allclose(vals, WATSON_I_EPS, rtol=1e-9)
-    assert max(vals) - min(vals) <= 1e-9 * WATSON_I_EPS
+def test_threshold_integrals_match_watson_at_every_threshold(v_one):
+    # for v = 1 every threshold integral is the dispersion integral, whose
+    # value oracles.py derives from the Glasser-Zucker Gamma product
+    for which in ["origin"] + ["lambda:%d" % i for i in range(1, 9)]:
+        assert threshold_integral(v_one, which) == pytest.approx(WATSON_I_EPS, rel=1e-13)
 
 
 def test_threshold_integral_invariant_under_ball_radius(v_cos_half):
+    # the oracle's own consistency: the ball radius is only a splitting choice
     lam = lambda_point(5)
-    base = integrate_threshold(v_cos_half, lam, lam, "max").value
+    base, _ = integrate_threshold(v_cos_half, lam, lam, "max")
     for radius in (0.8, 1.4):
-        other = integrate_threshold(
-            v_cos_half, lam, lam, "max", QuadratureConfig(singular_ball_radius=radius)
-        )
-        assert other.value == pytest.approx(base, rel=1e-8)
+        other, _ = integrate_threshold(v_cos_half, lam, lam, "max", radius=radius)
+        assert other == pytest.approx(base, rel=1e-8)
 
 
 def test_threshold_integral_matches_polar_oracle(v_cos_half, v_one_minus_cos):
-    res = integrate_threshold(v_cos_half, ORIGIN, ORIGIN, "min").value
+    res = threshold_integral(v_cos_half, "origin")
     ref, est = polar_cell_integral(
         lambda q: (np.cos(q[..., 0]) + 0.5) ** 2
         / np.maximum(np.sum(1.0 - np.cos(q), axis=-1), 1e-300),
@@ -133,7 +126,7 @@ def test_threshold_integral_matches_polar_oracle(v_cos_half, v_one_minus_cos):
     assert res == pytest.approx(ref, rel=max(2e-3, 10.0 * est / abs(ref)))
 
     lam = lambda_point(1)
-    res = integrate_threshold(v_one_minus_cos, lam, lam, "max").value
+    res = threshold_integral(v_one_minus_cos, "lambda:1")
     c = lam.to_array()
 
     def integrand(q):
@@ -160,8 +153,9 @@ def test_threshold_integral_rejects_bad_pairings(v_one):
 
 
 def test_threshold_integral_zero_coupling_is_zero():
-    res = integrate_threshold(VFunction.zero(), ORIGIN, ORIGIN, "min")
-    assert res.value == 0.0 and res.converged
+    assert integrate_threshold(VFunction.zero(), ORIGIN, ORIGIN, "min")[0] == 0.0
+    assert threshold_integral(VFunction.zero(), "origin") == 0.0
+    assert threshold_integral(VFunction.zero(), "lambda:4") == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +246,14 @@ def test_kernel_edge_limit_and_threshold_quadrature_agree(v_cos_half, v_product)
     lam = lambda_point(4)
     for v in (v_cos_half, v_product):
         kernel = ResolventKernel(v, lam)
-        quad = integrate_threshold(v, lam, lam, "max").value
+        quad, _ = integrate_threshold(v, lam, lam, "max")
         assert kernel.integral_above(13.5) == pytest.approx(quad, rel=1e-8)
+        assert threshold_integral(v, "lambda:4") == pytest.approx(quad, rel=1e-8)
     kernel = ResolventKernel(v_product, ORIGIN)
-    quad = integrate_threshold(v_product, ORIGIN, ORIGIN, "min").value
+    quad, _ = integrate_threshold(v_product, ORIGIN, ORIGIN, "min")
     # the lower edge integral carries the quadratic normal-form factor 1/2
     assert kernel.integral_below(0.0) == pytest.approx(0.5 * quad, rel=1e-8)
+    assert threshold_integral(v_product, "origin") == pytest.approx(quad, rel=1e-8)
 
 
 def test_kernel_rejects_band_interior(v_one):

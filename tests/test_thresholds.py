@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from friedrichs3d import thresholds, vfunction
 from friedrichs3d.determinant import ModelParams
-from friedrichs3d.lattice import lambda_point
-from friedrichs3d.quadrature import QuadratureConfig
+from friedrichs3d.lattice import TorusPoint, lambda_point
 from friedrichs3d.thresholds import (
     DomainError,
     ZeroCoupling,
@@ -19,13 +21,25 @@ from friedrichs3d.thresholds import (
 )
 from friedrichs3d.vfunction import VFunction, parse_v
 
-from oracles import WATSON_I_EPS
+from oracles import WATSON_I_EPS, polar_cell_integral
 
 
 def test_threshold_integral_is_cached(v_one):
     a = threshold_integral(v_one, "origin")
     b = threshold_integral(v_one, "origin")
-    assert a is b  # same IntegralResult object back from the cache
+    assert a is b  # same float object back from the cache
+
+
+def test_caches_hold_a_bounded_working_set(rng):
+    # fresh v per request must not pile up: 300 of them leave the caches at their size
+    for _ in range(300):
+        c = rng.uniform(0.5, 1.5, 3)
+        v = parse_v("%.17g + %.17g * cos(p1) + %.17g * sin(p2) * cos(p3)" % tuple(c))
+        threshold_integral(v, "origin")
+        threshold_integral(v, "lambda:%d" % rng.integers(1, 9))
+    assert vfunction._exp_coeffs_cached.cache_info().currsize <= vfunction._CACHE_SIZE
+    assert vfunction._squared_exp_cached.cache_info().currsize <= vfunction._CACHE_SIZE
+    assert thresholds._threshold_integral_cached.cache_info().currsize <= thresholds._CACHE_SIZE
 
 
 def test_critical_coupling_domains(v_one):
@@ -56,8 +70,8 @@ def test_right_coupling_against_frozen_constant(v_one):
 
 def test_defining_identities_hold(v_cos_half):
     # mu_l^2 int v^2/eps = 2 gamma and mu_r^2 I_max = 9 - gamma by definition
-    i_min = threshold_integral(v_cos_half, "origin").value
-    i_max = threshold_integral(v_cos_half, "lambda:7").value
+    i_min = threshold_integral(v_cos_half, "origin")
+    i_max = threshold_integral(v_cos_half, "lambda:7")
     gamma = 1.7
     assert mu_left(gamma, v_cos_half) ** 2 * i_min == pytest.approx(2.0 * gamma, abs=1e-12)
     assert mu_right(gamma, 7, v_cos_half) ** 2 * i_max == pytest.approx(9.0 - gamma, abs=1e-12)
@@ -169,10 +183,68 @@ def test_eigenvector_residuals_detect_off_critical(v_product):
     assert first == pytest.approx(3.0 * gamma, rel=1e-9)  # Delta = gamma (1 - 4) at 2 mu_c
 
 
-def test_quadrature_config_is_honored(v_one):
-    # a deliberately weak configuration must fail loudly, not silently degrade
-    from friedrichs3d.quadrature import NonConvergence
+def test_f1_samples_match_a_one_at_a_time_draw(v_product):
+    # the vectorised draw keeps the momenta, and f1 values, of the scalar loop
+    params = ModelParams(gamma=2.0, mu=0.37)
+    for point in ("origin", "lambda:6"):
+        report = classify_threshold(params, v_product, point)
+        rng = np.random.default_rng(12345)
+        k = lambda_point(6).coords if point != "origin" else (0.0, 0.0, 0.0)
+        expected = []
+        while len(expected) < 100:
+            q = rng.uniform(-np.pi, np.pi, size=3)
+            if point == "origin":
+                d = 2.0 * (3.0 - np.cos(q[0]) - np.cos(q[1]) - np.cos(q[2]))
+            else:
+                d = -(3.0 + sum(np.cos(k[j] + q[j]) + np.cos(q[j]) for j in range(3)))
+            if abs(d) < 1e-6:
+                continue
+            expected.append((TorusPoint(q), -params.mu * v_product(TorusPoint(q)) / d))
+        assert len(report.f1_samples) == 100
+        for (p, f1), (p_ref, f1_ref) in zip(report.f1_samples, expected):
+            assert p == p_ref
+            assert f1 == pytest.approx(f1_ref, rel=1e-15, abs=1e-300)
 
-    weak = QuadratureConfig(base_grid=4, target_rel_tol=1e-13, max_refinements=1)
-    with pytest.raises(NonConvergence):
-        threshold_integral(parse_v("1 + 0.1 * cos(3*p1)"), "origin", weak)
+
+_MODES = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)]
+
+
+def _polar_threshold_integral(v, which):
+    if which == "origin":
+        center = np.zeros(3)
+
+        def den(q):
+            return np.sum(1.0 - np.cos(q), axis=-1)
+
+    else:
+        center = lambda_point(int(which.split(":")[1])).to_array()
+
+        def den(q):
+            return 9.0 - np.sum(1.0 - np.cos(center + q), axis=-1) - np.sum(1.0 - np.cos(q), axis=-1)
+
+    def integrand(q):
+        vv = np.asarray(v.evaluate(q[..., 0], q[..., 1], q[..., 2]), dtype=float)
+        return vv * vv / np.maximum(den(q), 1e-300)
+
+    return polar_cell_integral(integrand, center)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    terms=st.lists(
+        st.tuples(st.sampled_from(_MODES), st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 0.05)),
+        min_size=1,
+        max_size=4,
+    ),
+    lam=st.integers(1, 8),
+    gamma=st.floats(0.05, 8.95),
+)
+def test_threshold_integrals_match_the_polar_oracle(terms, lam, gamma):
+    v = VFunction(terms)
+    i_min = threshold_integral(v, "origin")
+    i_max = threshold_integral(v, "lambda:%d" % lam)
+    for got, which in ((i_min, "origin"), (i_max, "lambda:%d" % lam)):
+        ref, est = _polar_threshold_integral(v, which)
+        assert got == pytest.approx(ref, rel=max(2e-3, 10.0 * est / abs(ref)))
+    assert mu_left(gamma, v) ** 2 * i_min == pytest.approx(2.0 * gamma, rel=1e-12)
+    assert mu_right(gamma, lam, v) ** 2 * i_max == pytest.approx(9.0 - gamma, rel=1e-12)
