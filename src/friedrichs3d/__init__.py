@@ -40,7 +40,6 @@ from .quadrature import (
     QuadratureConfig,
     ResolventKernel,
     band_resolvent_integral,
-    integrate_smooth,
 )
 from .thresholds import (
     CriticalCouplings,
@@ -81,7 +80,6 @@ __all__ = [
     "QuadratureConfig",
     "IntegralResult",
     "NonConvergence",
-    "integrate_smooth",
     "ResolventKernel",
     "band_resolvent_integral",
     "ModelParams",

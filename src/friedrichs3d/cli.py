@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -139,7 +140,12 @@ def _parse_grids(text: str) -> list:
     return grids
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing leaves the parser unchanged; every call gets a fresh namespace.
+    """
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps an absent per-subcommand flag from clobbering the
     # top-level --output/--format parsed before the subcommand name.

@@ -23,12 +23,11 @@ import numpy as np
 
 from .lattice import TorusPoint, band_endpoints, threshold_point, w0
 from .quadrature import (
-    DEFAULT_CONFIG,
     QuadratureConfig,
     ResolventKernel,
     _KernelBatch,
     _Kernels,
-    integrate_smooth,
+    resolvent_integral_2d,
 )
 from .vfunction import VFunction
 
@@ -97,12 +96,13 @@ def fredholm_delta(
 ):
     """Determinant at spectral parameter z outside the fiber band.
 
-    Evaluates the defining torus integral by smooth grid quadrature, so z
-    must keep at least EDGE_MARGIN distance from [m(k), M(k)]; inside that
-    guard band InsideEssentialSpectrum is raised.  The solver uses its own
-    edge-capable evaluator, so this restriction only binds direct calls.
+    Evaluates the integral with `resolvent_integral_2d` (t3 in closed form,
+    a `cfg`-sized midpoint grid in (t1, t2)), a route independent of the
+    solver's kernel, so it audits roots.  z must keep at least EDGE_MARGIN
+    distance from [m(k), M(k)]; inside that guard band
+    InsideEssentialSpectrum is raised.  With `with_diagnostics`, returns
+    (value, IntegralResult), the result None for v = 0.
     """
-    cfg = cfg or DEFAULT_CONFIG
     k = k if isinstance(k, TorusPoint) else TorusPoint(k)
     z = float(z)
     lo, hi = band_endpoints(k)
@@ -115,13 +115,7 @@ def fredholm_delta(
         result = None
         value = base
     else:
-        from .lattice import w1_on_grid
-
-        def integrand(px, py, pz):
-            vv = v.evaluate(px, py, pz)
-            return vv * vv / (w1_on_grid(k, px, py, pz) - z)
-
-        result = integrate_smooth(integrand, cfg)
+        result = resolvent_integral_2d(v, k, z, cfg)
         value = base - params.mu ** 2 * result.value
     if with_diagnostics:
         return value, result

@@ -1,17 +1,17 @@
 """Integration on the momentum torus.
 
-Two production routes, by integrand class:
+Two production routes for the resolvent integral v^2/(w1(k, .) - z),
+z outside the fiber band:
 
-* `integrate_smooth`: periodic C-infinity integrands.  Tensor midpoint
-  rule with grid doubling; spectral convergence, deterministic chunked
-  summation.
-* `ResolventKernel`: integrals v^2/(w1(k, .) - z) for z outside the
-  fiber band.  Exact reduction to a 1d Laplace transform of modified
-  Bessel products, accurate to machine precision uniformly down to the
-  band edge, including the edge limit itself.  This is what the
-  discrete-spectrum solver runs on, since grid quadrature degrades near
-  the edges while root-finding needs evaluations exactly there, and the
-  threshold integrals are its edge limits at k = 0 and on Lambda.
+* `ResolventKernel`: exact reduction to a 1d Laplace transform of
+  modified Bessel products, accurate to machine precision uniformly down
+  to the band edge, including the edge limit itself.  This is what the
+  discrete-spectrum solver runs on, since root-finding needs evaluations
+  exactly at the edges, and the threshold integrals are its edge limits
+  at k = 0 and on Lambda.
+* `resolvent_integral_2d`: the t3 integral in closed form, the smooth
+  remainder on a midpoint grid in (t1, t2) with grid doubling.  It shares
+  nothing with the kernel, so it audits the solver's roots.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = [
     "IntegralResult",
     "NonConvergence",
     "DEFAULT_CONFIG",
-    "integrate_smooth",
+    "resolvent_integral_2d",
     "ResolventKernel",
     "band_resolvent_integral",
 ]
@@ -43,11 +43,11 @@ class NonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Knobs for the grid quadrature `integrate_smooth`.
+    """Knobs for the 2D audit grid of `resolvent_integral_2d`.
 
-    base_grid: points per axis of the coarsest midpoint grid (doubled on
-    each refinement).  target_rel_tol: successive-refinement relative
-    tolerance.
+    base_grid: points per axis of the coarsest midpoint grid in (t1, t2)
+    (doubled on each refinement).  target_rel_tol: successive-refinement
+    relative tolerance.
     """
 
     base_grid: int = 16
@@ -77,48 +77,111 @@ class IntegralResult:
     converged: bool
 
 
-@lru_cache(maxsize=64)
-def _cell_nodes(n: int):
-    # cell-centered nodes of (-pi, pi], never landing on 0 or pi for even n
-    return -np.pi + (np.arange(n) + 0.5) * (TWO_PI / n)
+# ---------------------------------------------------------------------------
+# The 2D audit route: t3 in closed form, a midpoint grid in (t1, t2)
+# ---------------------------------------------------------------------------
+
+# grid values per block of rows: bounds the work arrays of one grid level
+_BLOCK_VALUES = 1 << 18
 
 
-def _midpoint_sum(f, n: int) -> float:
-    g = _cell_nodes(n)
-    h = TWO_PI / n
-    chunk = max(1, (1 << 22) // (n * n))
-    partials = []
-    for i0 in range(0, n, chunk):
-        px = g[i0 : i0 + chunk][:, None, None]
-        py = g[None, :, None]
-        pz = g[None, None, :]
-        vals = np.asarray(f(px, py, pz), dtype=float)
-        vals = np.broadcast_to(vals, (px.shape[0], n, n))
-        partials.append(float(np.sum(vals)))
-    return math.fsum(partials) * h ** 3
+class _AuditIntegrand:
+    """The (t1, t2) integrand left after integrating t3 in closed form.
+
+    Per axis cos(k_j + t) + cos(t) = 2 c_j cos(t + phi_j) with c_j =
+    |cos(k_j/2)| and phi_j = k_j/2, plus pi where cos(k_j/2) < 0.  Below
+    the band, w1 - z = a - b cos(t3 + phi_3) with b = 2 c_3 and a - b =
+    delta + sum_{j=1,2} 4 c_j sin^2((t_j + phi_j)/2), free of cancellation
+    next to the edge.  Above it, z - w1 takes the same form with every
+    phi_j shifted by pi, and the integral changes sign.  Then
+
+        int e^{i m t}/(a - b cos(t + phi)) dt = 2 pi e^{-i m phi} rho^{|m|} / s,
+
+    s = sqrt(a^2 - b^2), rho = b/(a + s), and since beta_{-m} is the
+    conjugate of beta_m the modes of v^2 enter as Horner coefficients in
+    rho, one per m3 >= 0: Q_m3 = w Re(e^{-i m3 phi_3} P_m3(t1, t2)) with
+    w = 1 at m3 = 0 and 2 beyond, P_m3 the (m1, m2) block of the m3 modes.
+    """
+
+    def __init__(self, v: VFunction, k: TorusPoint, side: int, delta: float):
+        kc = np.asarray(k.coords, dtype=float)
+        half = np.cos(kc / 2.0)
+        self.c = np.abs(half)
+        self.phase = kc / 2.0 + np.where(half < 0.0, math.pi, 0.0) + side * math.pi
+        self.sign = -1.0 if side else 1.0
+        self.delta = delta
+        self.b = 2.0 * self.c[2]
+
+        sq = v.squared_exp_coeffs()
+        modes = [m for m in sq if m[2] >= 0]
+        keys = np.array(modes, dtype=int).reshape(-1, 3)
+        beta = np.array([sq[m] for m in modes], dtype=complex)
+        self.m1, i1 = np.unique(keys[:, 0], return_inverse=True)
+        self.m2, i2 = np.unique(keys[:, 1], return_inverse=True)
+        levels = int(keys[:, 2].max()) + 1 if keys.size else 1
+        weight = np.where(keys[:, 2] == 0, 1.0, 2.0) * np.exp(-1j * keys[:, 2] * self.phase[2])
+        # blocks[m3, i, j]: the coefficient of e^{i (m1_i t1 + m2_j t2)} in Q_m3
+        self.blocks = np.zeros((levels, self.m1.size, self.m2.size), dtype=complex)
+        np.add.at(self.blocks, (keys[:, 2], i1, i2), weight * beta)
+
+    def grid_sum(self, n: int) -> float:
+        """Midpoint sum of the closed-form t3 integral over an n x n grid in (t1, t2)."""
+        t = -np.pi + (np.arange(n) + 0.5) * (TWO_PI / n)
+        rows_exp = np.exp(1j * np.outer(t, self.m1))  # (n, modes in m1)
+        arg = np.outer(self.m2, t)
+        cols_trig = np.concatenate([np.cos(arg), np.sin(arg)])  # (2 x modes in m2, n)
+        p1, p2 = (4.0 * c * np.sin(0.5 * (t + phi)) ** 2 for c, phi in zip(self.c[:2], self.phase[:2]))
+        levels = self.blocks.shape[0]
+        step = max(1, _BLOCK_VALUES // (n * levels))
+        partials = []
+        for i0 in range(0, n, step):
+            rows = slice(i0, i0 + step)
+            inner = rows_exp[rows] @ self.blocks  # (levels, rows, modes in m2)
+            q = np.concatenate([inner.real, -inner.imag], axis=2) @ cols_trig  # Q_m3 on the rows
+            gap = self.delta + p1[rows, None] + p2  # a - b
+            s = np.sqrt(gap * (gap + 2.0 * self.b))
+            rho = self.b / (gap + self.b + s)
+            acc = q[-1]  # Horner in rho, in place on the spent blocks
+            for q_m3 in q[-2::-1]:
+                acc *= rho
+                acc += q_m3
+            acc /= s
+            partials.append(float(np.sum(acc)))
+        return self.sign * TWO_PI * math.fsum(partials) * (TWO_PI / n) ** 2
 
 
-def integrate_smooth(f, cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """Integrate a smooth periodic integrand over the torus.
+def resolvent_integral_2d(
+    v: VFunction, k, z: float, cfg: QuadratureConfig | None = None
+) -> IntegralResult:
+    """Signed integral int v^2/(w1(k, .) - z) dt for z strictly outside [m(k), M(k)].
 
-    `f(px, py, pz)` must broadcast over coordinate arrays.  Refines by
-    doubling the per-axis grid until successive values agree to
+    The t3 integral is exact (see `_AuditIntegrand`); the smooth periodic
+    remainder in (t1, t2) is summed on a midpoint grid of `base_grid`^2
+    points, doubled per axis until successive values agree to
     `target_rel_tol` (relative) or an absolute floor of 1e-12; raises
     NonConvergence when `max_refinements` doublings are exhausted.  Each
-    refinement costs 8x the previous one.
+    refinement costs 4x the previous one.  Independent of the
+    Laplace-Bessel kernel, so it audits the solver's roots.
     """
     cfg = cfg or DEFAULT_CONFIG
+    k = k if isinstance(k, TorusPoint) else TorusPoint(k)
+    z = float(z)
+    lo, hi = band_endpoints(k)
+    if lo <= z <= hi:
+        raise ValueError("z = %.17g lies in the band [%.17g, %.17g]" % (z, lo, hi))
+    side = int(z > hi)
+    f = _AuditIntegrand(v, k, side, z - hi if side else lo - z)
     n = cfg.base_grid
-    prev = _midpoint_sum(f, n)
+    prev = f.grid_sum(n)
     for r in range(1, cfg.max_refinements + 1):
         n *= 2
-        cur = _midpoint_sum(f, n)
+        cur = f.grid_sum(n)
         diff = abs(cur - prev)
         if diff <= max(cfg.target_rel_tol * abs(cur), _ABS_FLOOR):
             return IntegralResult(value=cur, est_error=diff, refinements_used=r, converged=True)
         prev = cur
     raise NonConvergence(
-        "no convergence after %d refinements (grid %d^3, last value %.17g, last diff %.3g)"
+        "no convergence after %d refinements (grid %d^2, last value %.17g, last diff %.3g)"
         % (cfg.max_refinements, n, prev, diff if cfg.max_refinements else math.nan)
     )
 

@@ -1,5 +1,8 @@
 import filecmp
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ def test_spectrum_json_round_trip(run_cli):
     assert res["eigen_below"] == pytest.approx(window.eigen_below, abs=1e-12)
     assert res["eigen_above"] == pytest.approx(window.eigen_above, abs=1e-12)
     assert res["m"] == pytest.approx(window.m, abs=1e-15)
-    # the grid-quadrature audit of the transform-kernel root must be tiny
+    # the 2D-grid audit of the transform-kernel root must be tiny
     assert report["diagnostics"]["residuals"]["below"] < 5e-9
 
 
@@ -212,13 +215,57 @@ def test_validation_failures_exit_two(run_cli, argv):
 
 
 def test_numerical_failure_exits_three(run_cli):
-    # the grid-quadrature audit of `spectrum` cannot meet 1e-13 without refining
+    # the grid audit of `spectrum` cannot meet 1e-13 without refining
     code, _, err = run_cli(
         "spectrum", "--gamma", "-2", "--mu", "0.6", "--k", "0.5,0.1,-0.8",
         "--v", "1 + 0.1 * cos(3*p1)", "--quad-max-refinements", "0", "--quad-tol", "1e-13",
     )
     assert code == 3
     assert "refin" in err or "converge" in err.lower()
+
+
+def test_near_band_audit_refuses_quickly(run_cli):
+    # a root 9.7e-5 above the band: the (t1, t2) audit grid settles to 1.5e-6
+    # relative by 1024^2, short of the default 1e-8, and the report is refused
+    argv = [
+        "spectrum", "--gamma=-1.115", "--mu", "0.331", "--k=0.7789,-2.4694,-0.1161",
+        "--v", "0.8681 + -0.3394*cos(p1) + 0.2634*sin(2*p2) + 0.3069*cos(p2)*cos(p3)",
+    ]
+    code, out, err = run_cli(*argv)
+    assert code == 3
+    assert "grid 1024^2" in err
+    assert out == ""  # a numerical failure emits no report
+    # two more doublings certify it
+    code, out, err = run_cli(*argv, "--quad-max-refinements", "8")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["diagnostics"]["quadrature_refinements"]["above"] == 8
+    assert report["diagnostics"]["residuals"]["above"] < 1e-9
+
+
+def test_repeated_calls_share_no_parser_state(run_cli):
+    spectrum = ("spectrum", "--gamma", "-2", "--mu", "0.6", "--k", "0.5,0.1,-0.8")
+    code, first, _ = run_cli(*spectrum)
+    assert code == 0
+    code, out, _ = run_cli("bands", "--gamma", "6", "--mu", "1e-6", "--resolution", "4", "--format", "csv")
+    assert code == 0 and out.startswith("k1,k2,k3,")
+    code, again, _ = run_cli(*spectrum)
+    assert code == 0
+    assert again == first
+    assert json.loads(again)["config"]["format"] == "json"
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("friedrichs3d ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_run(run_cli, argv):
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    assert json.loads(out)["command"] == argv[0]
 
 
 def test_config_file_rejects_unknown_keys(run_cli, tmp_path):

@@ -13,11 +13,11 @@ from friedrichs3d.determinant import (
     fredholm_delta,
     fredholm_delta_threshold,
 )
-from friedrichs3d.lattice import ORIGIN, PI_POINT, TorusPoint, band_endpoints, lambda_point
+from friedrichs3d.lattice import ORIGIN, PI_POINT, TorusPoint, band_endpoints, lambda_point, w1_on_grid
 from friedrichs3d.quadrature import IntegralResult
 from friedrichs3d.vfunction import VFunction, parse_v
 
-from oracles import WATSON_HALF, WATSON_I_EPS, pi_point_roots
+from oracles import WATSON_HALF, WATSON_I_EPS, integrate_smooth, pi_point_roots
 
 TWO_PI = 2.0 * np.pi
 
@@ -113,7 +113,7 @@ def test_discrete_spectrum_existence_logic(v_cos_half):
 
 def test_discrete_spectrum_roots_zero_the_grid_determinant(v_cos_half, rng):
     # dual route: roots come from the transform kernel, the audit from the
-    # real-space grid quadrature
+    # closed-form t3 integral on a (t1, t2) grid
     for _ in range(3):
         k = TorusPoint(rng.uniform(-np.pi, np.pi, 3))
         params = ModelParams(gamma=float(rng.uniform(-3.0, -0.5)), mu=float(rng.uniform(0.4, 0.9)))
@@ -152,16 +152,39 @@ def test_huge_gamma_roots_at_corner_match_closed_form(v_one):
 
 
 _MODES = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)]
-_AUDIT_GAP = 0.1  # grid quadrature closer to the band than this costs seconds per value
+_TERMS = st.lists(
+    st.tuples(st.sampled_from(_MODES), st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 0.05)),
+    min_size=1,
+    max_size=4,
+)
+_AUDIT_GAP = 1e-2  # the audit's (t1, t2) grid takes 0.03-0.1 s per value this close to the band
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    terms=_TERMS,
+    k=st.tuples(*[st.one_of(st.just(np.pi), st.floats(-np.pi, np.pi))] * 3),
+    above=st.booleans(),
+    delta=st.sampled_from([1e-2, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3]),
+)
+def test_audit_integral_matches_the_3d_grid_oracle(terms, k, above, delta):
+    # the closed-form t3 route of fredholm_delta against a plain 3D midpoint grid
+    v = VFunction(terms)
+    k = TorusPoint(k)
+    lo, hi = band_endpoints(k)
+    z = hi + delta if above else lo - delta
+    _, result = fredholm_delta(ModelParams(gamma=0.0, mu=1.0), v, k, z, with_diagnostics=True)
+
+    def integrand(px, py, pz):
+        vv = v.evaluate(px, py, pz)
+        return vv * vv / (w1_on_grid(k, px, py, pz) - z)
+
+    assert result.value == pytest.approx(integrate_smooth(integrand).value, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    terms=st.lists(
-        st.tuples(st.sampled_from(_MODES), st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 0.05)),
-        min_size=1,
-        max_size=4,
-    ),
+    terms=_TERMS,
     ks=st.lists(st.tuples(*[st.floats(-np.pi, np.pi)] * 3), min_size=1, max_size=3),
     gamma=st.floats(-4.0, 16.0),
     mu=st.floats(0.05, 1.5),

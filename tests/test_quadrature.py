@@ -8,7 +8,7 @@ from friedrichs3d.quadrature import (
     ResolventKernel,
     _KernelBatch,
     band_resolvent_integral,
-    integrate_smooth,
+    resolvent_integral_2d,
 )
 from friedrichs3d.thresholds import threshold_integral
 from friedrichs3d.vfunction import VFunction, parse_v
@@ -17,6 +17,7 @@ from oracles import (
     WATSON_HALF,
     WATSON_I_EPS,
     DenominatorVanishesOutsideBall,
+    integrate_smooth,
     integrate_threshold,
     left_riemann_integral,
     polar_cell_integral,
@@ -76,7 +77,7 @@ def test_smooth_quadrature_raises_on_unattainable_tolerance():
         return np.exp(np.cos(px) * np.cos(py) * np.cos(pz))
 
     cfg = QuadratureConfig(base_grid=4, target_rel_tol=1e-13, max_refinements=1)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(RuntimeError, match="no convergence after 1 refinements"):
         integrate_smooth(f, cfg)
 
 
@@ -87,6 +88,43 @@ def test_smooth_quadrature_is_deterministic():
     a = integrate_smooth(f)
     b = integrate_smooth(f)
     assert a.value == b.value and a.est_error == b.est_error
+
+
+# ---------------------------------------------------------------------------
+# the 2D audit route: t3 in closed form
+# ---------------------------------------------------------------------------
+
+
+def test_audit_route_closed_form_at_corner_momentum(v_one):
+    # every c_j vanishes there (b = 0, rho = 0), and w1 = 12 identically
+    for dz in (0.5, 2.0, 7.7):
+        below = resolvent_integral_2d(v_one, PI_POINT, 12.0 - dz)
+        above = resolvent_integral_2d(v_one, PI_POINT, 12.0 + dz)
+        assert below.value == pytest.approx(CELL_VOLUME / dz, rel=1e-14)
+        assert above.value == pytest.approx(-CELL_VOLUME / dz, rel=1e-14)
+
+
+def test_audit_route_matches_the_kernel_next_to_the_band():
+    # 1e-3 from either edge, where a 3D grid would need more than 1024^3 points
+    v = parse_v("0.8681 - 0.3394*cos(p1) + 0.2634*sin(2*p2) + 0.3069*cos(p2)*cos(p3)")
+    k = TorusPoint(0.7789, -2.4694, -0.1161)
+    kernel = ResolventKernel(v, k)
+    below = resolvent_integral_2d(v, k, kernel.m - 1e-3)
+    above = resolvent_integral_2d(v, k, kernel.M + 1e-3)
+    assert below.converged and above.converged
+    assert below.value == pytest.approx(kernel.integral_below(kernel.m - 1e-3), rel=1e-12)
+    assert above.value == pytest.approx(-kernel.integral_above(kernel.M + 1e-3), rel=1e-12)
+
+
+def test_audit_route_refuses_the_band_and_reports_its_grid(v_cos_half):
+    k = TorusPoint(0.9, 0.4, -1.2)
+    kernel = ResolventKernel(v_cos_half, k)
+    for z in (kernel.m, 0.5 * (kernel.m + kernel.M), kernel.M):
+        with pytest.raises(ValueError):
+            resolvent_integral_2d(v_cos_half, k, z)
+    cfg = QuadratureConfig(base_grid=4, target_rel_tol=1e-13, max_refinements=2)
+    with pytest.raises(NonConvergence, match=r"grid 16\^2"):
+        resolvent_integral_2d(v_cos_half, k, kernel.m - 1e-2, cfg)
 
 
 # ---------------------------------------------------------------------------
