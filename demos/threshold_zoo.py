@@ -9,7 +9,14 @@ f1 ~ 1/|q - q0|^2 likewise.  Four coupling functions realize all four
 (origin, corner) combinations.
 """
 
-from friedrichs3d import ModelParams, classify_threshold, eigenvector_residuals, mu_left, mu_right, parse_v
+from friedrichs3d import (
+    ModelParams,
+    classify_threshold,
+    fredholm_delta_threshold,
+    mu_left,
+    mu_right,
+    parse_v,
+)
 
 CASES = [
     "1",
@@ -35,15 +42,14 @@ def main():
             slope = 2.0 * rep.local_exponent - 1.0
             tag = "%s (s=%+.2f)" % (rep.verdict, slope)
             if rep.verdict == "eigenvalue":
-                first, second = eigenvector_residuals(params, v, point)
-                tag += " r=%.0e" % max(first, second)
+                tag += " r=%.0e" % abs(fredholm_delta_threshold(params, v, point))
             row.append(tag)
         print("%-34s %-16s %-16s" % (text, row[0], row[1]))
 
     print()
     print("s is the log-log slope of shell integrals of |f1|^2; -1 marks a")
-    print("virtual level, s >= +1 a genuine edge eigenvalue. r is the worst")
-    print("eigen-system residual of the constructed pair.")
+    print("virtual level, s >= +1 a genuine edge eigenvalue. r is the")
+    print("determinant at the threshold, the residual of the pair's first row.")
 
 
 if __name__ == "__main__":

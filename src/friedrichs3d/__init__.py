@@ -17,7 +17,6 @@ from .determinant import (
     SpectralWindow,
     find_discrete_spectrum,
     fredholm_delta,
-    fredholm_delta_threshold,
 )
 from .lattice import (
     ORIGIN,
@@ -39,7 +38,6 @@ from .quadrature import (
     NonConvergence,
     QuadratureConfig,
     ResolventKernel,
-    band_resolvent_integral,
 )
 from .thresholds import (
     CriticalCouplings,
@@ -49,12 +47,11 @@ from .thresholds import (
     ZeroCoupling,
     classify_threshold,
     critical_couplings,
-    eigenvector_residuals,
+    fredholm_delta_threshold,
     gamma_star,
     l2_membership_probe,
     mu_left,
     mu_right,
-    resonance_function_check,
 )
 from .vfunction import VFunction, VParseError, parse_v
 
@@ -81,7 +78,6 @@ __all__ = [
     "IntegralResult",
     "NonConvergence",
     "ResolventKernel",
-    "band_resolvent_integral",
     "ModelParams",
     "SpectralWindow",
     "InsideEssentialSpectrum",
@@ -99,8 +95,6 @@ __all__ = [
     "critical_couplings",
     "classify_threshold",
     "l2_membership_probe",
-    "resonance_function_check",
-    "eigenvector_residuals",
     "ESSENTIAL_BAND",
     "BandStructure",
     "assemble_bands",

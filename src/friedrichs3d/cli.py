@@ -35,11 +35,10 @@ from .thresholds import (
     ZeroCoupling,
     classify_threshold,
     critical_couplings,
-    eigenvector_residuals,
+    fredholm_delta_threshold,
     gamma_star,
     mu_left,
     mu_right,
-    resonance_function_check,
     threshold_integral,
 )
 from .vfunction import VFunction, VParseError, parse_v
@@ -328,8 +327,6 @@ def _cmd_classify(cfg: RunConfig):
     if cfg.point is None:
         raise ValueError("classify needs --point")
     report = classify_threshold(params, v, cfg.point)
-    resonance = resonance_function_check(params, v, cfg.point)
-    first, second = eigenvector_residuals(params, v, cfg.point)
     results = {
         "point": report.point,
         "verdict": report.verdict,
@@ -341,11 +338,7 @@ def _cmd_classify(cfg: RunConfig):
         "f1_samples": [[_point_list(q), val] for q, val in report.f1_samples],
     }
     diagnostics = {
-        "residuals": {
-            "resonance_function": resonance,
-            "eigensystem_first": first,
-            "eigensystem_second_max": second,
-        }
+        "residuals": {"eigensystem_first": abs(fredholm_delta_threshold(params, v, cfg.point))}
     }
     return results, diagnostics, 0
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import TorusPoint, band_endpoints, threshold_point, w0
+from .lattice import TorusPoint, band_endpoints, w0
 from .quadrature import (
     QuadratureConfig,
     ResolventKernel,
@@ -36,7 +36,6 @@ __all__ = [
     "SpectralWindow",
     "InsideEssentialSpectrum",
     "fredholm_delta",
-    "fredholm_delta_threshold",
     "find_discrete_spectrum",
     "EDGE_MARGIN",
 ]
@@ -120,21 +119,6 @@ def fredholm_delta(
     if with_diagnostics:
         return value, result
     return value
-
-
-def fredholm_delta_threshold(params: ModelParams, v: VFunction, which: str) -> float:
-    """Determinant exactly at a threshold: z = 0 at k = 0, or z = 27/2 at k in Lambda.
-
-    Both are edge limits of the fiber's resolvent kernel, finite since all
-    three axes are free there.  At the origin the value is gamma -
-    mu^2 int v^2/w1(0, .) = gamma - (mu^2/2) int v^2/eps; at a Lambda point
-    it is gamma - 9 + mu^2 int v^2/(9 - eps(k+t) - eps(t)).
-    """
-    label, _, point = threshold_point(which)
-    kernel = ResolventKernel(v, point)
-    if label == "origin":
-        return params.gamma - params.mu ** 2 * kernel.integral_below(kernel.m)
-    return params.gamma - 9.0 + params.mu ** 2 * kernel.integral_above(kernel.M)
 
 
 def _solve_rows(params: ModelParams, batch: _KernelBatch, kernels: _Kernels):

@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "resolvent_integral_2d",
     "ResolventKernel",
-    "band_resolvent_integral",
 ]
 
 
@@ -452,13 +451,3 @@ class ResolventKernel:
         if delta < -1e-9:
             raise ValueError("z = %.17g lies below the upper band edge %.17g" % (z, self.M))
         return self._evaluate(1, max(delta, 0.0))
-
-
-def band_resolvent_integral(v: VFunction, k, z: float) -> float:
-    """Signed integral int v^2/(w1(k, .) - z) dt for z strictly outside [m, M]."""
-    kernel = ResolventKernel(v, k)
-    if z <= kernel.m:
-        return kernel.integral_below(z)
-    if z >= kernel.M:
-        return -kernel.integral_above(z)
-    raise ValueError("z = %.17g lies inside the band [%.17g, %.17g]" % (z, kernel.m, kernel.M))

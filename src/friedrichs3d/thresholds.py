@@ -2,18 +2,23 @@
 
 The lower threshold z = 0 (at k = 0) and the upper threshold z = 27/2
 (at the eight Lambda momenta) each carry a critical coupling where the
-determinant vanishes exactly at the threshold:
+determinant vanishes exactly at the threshold.  At every threshold that
+determinant is one expression,
 
-    mu_left(gamma)  = sqrt(2 gamma  / int v^2/eps)            (gamma > 0)
-    mu_right(gamma) = sqrt((9 - gamma) / int v^2/(9-eps-eps)) (gamma < 9)
+    Delta_thr = (gamma - g0) - mu^2 j,
 
-Both integrals are edge limits of the fiber's resolvent kernel.
+with g0 = 0 and j = I_min/2 (I_min = int v^2/eps) at the origin, and
+g0 = 9 and j = -I_max (I_max = int v^2/(9 - eps(k+t) - eps(t))) at a
+Lambda point.  Both integrals are edge limits of the fiber's resolvent
+kernel.  The critical coupling mu_c = sqrt((gamma - g0)/j) exists for
+gamma > 0 at the origin and gamma < 9 at a Lambda point, and the
+crossover gamma_star is where two of them coincide.
 
 At the critical coupling the threshold solution psi = (1, f1) with
 f1(q) = -mu v(q) / (w1(k, q) - z0) is square-integrable iff v vanishes
-at the singular point; that dichotomy (eigenvalue vs virtual level) is
-decided here numerically by shell integrals of |f1|^2 against dyadic
-radii, with the exact vanishing order of v as an independent check.
+at the singular point.  The verdict reads that dichotomy off |v| at the
+point (below 1e-12); the report adds an independent numerical estimate,
+shell integrals of |f1|^2 against dyadic radii.
 """
 
 from __future__ import annotations
@@ -35,14 +40,13 @@ __all__ = [
     "FitUnstable",
     "CriticalCouplings",
     "ThresholdReport",
+    "fredholm_delta_threshold",
     "mu_left",
     "mu_right",
     "gamma_star",
     "critical_couplings",
     "classify_threshold",
     "l2_membership_probe",
-    "resonance_function_check",
-    "eigenvector_residuals",
 ]
 
 _MATCH_RTOL = 1e-8
@@ -51,6 +55,8 @@ _VANISH_TOL = 1e-12
 _PROBE_RADIUS = 1.2
 # one request works on one v, which has nine threshold integrals
 _CACHE_SIZE = 9
+# per threshold label: the side's name, g0, and the factor j / threshold_integral
+_CONVENTION = {"origin": ("lower", 0.0, 0.5), "lambda": ("upper", 9.0, -1.0)}
 
 
 class DomainError(ValueError):
@@ -86,33 +92,58 @@ def threshold_integral(v: VFunction, which: str) -> float:
     return _threshold_integral_cached(v, label, index)
 
 
+def _threshold_terms(v: VFunction, which: str):
+    """(g0, j) of Delta_thr = (gamma - g0) - mu^2 j at a threshold."""
+    _, g0, scale = _CONVENTION[threshold_point(which)[0]]
+    return g0, scale * threshold_integral(v, which)
+
+
+def fredholm_delta_threshold(params: ModelParams, v: VFunction, which: str) -> float:
+    """Determinant exactly at a threshold: z = 0 at k = 0, or z = 27/2 at k in Lambda.
+
+    gamma - (mu^2/2) int v^2/eps at the origin and gamma - 9 +
+    mu^2 int v^2/(9 - eps(k+t) - eps(t)) at a Lambda point.
+    """
+    g0, j = _threshold_terms(v, which)
+    return (params.gamma - g0) - params.mu ** 2 * j
+
+
+def _mu_critical(gamma: float, v: VFunction, which: str) -> float:
+    """The mu = sqrt((gamma - g0)/j) where Delta_thr vanishes.
+
+    Raises DomainError when gamma lies on the wrong side of g0 (decided
+    before any integral), then ZeroCoupling when j vanishes.
+    """
+    side, g0, scale = _CONVENTION[threshold_point(which)[0]]
+    sign = math.copysign(1.0, scale)
+    if not sign * (gamma - g0) > 0.0:
+        raise DomainError(
+            "the %s critical coupling needs gamma %s %g, got %.17g"
+            % (side, ">" if sign > 0.0 else "<", g0, gamma)
+        )
+    _, j = _threshold_terms(v, which)
+    if not sign * j > 0.0:
+        raise ZeroCoupling("the %s threshold integral vanishes; no critical coupling" % side)
+    return math.sqrt((gamma - g0) / j)
+
+
 def mu_left(gamma: float, v: VFunction) -> float:
     """Critical coupling for the lower threshold; needs gamma > 0."""
-    if not gamma > 0.0:
-        raise DomainError("the lower critical coupling needs gamma > 0, got %.17g" % gamma)
-    integral = threshold_integral(v, "origin")
-    if integral <= 0.0:
-        raise ZeroCoupling("int v^2/eps vanishes; no lower critical coupling")
-    return math.sqrt(2.0 * gamma / integral)
+    return _mu_critical(gamma, v, "origin")
 
 
 def mu_right(gamma: float, i: int, v: VFunction) -> float:
     """Critical coupling for the upper threshold at the i-th Lambda point; gamma < 9."""
-    if not gamma < 9.0:
-        raise DomainError("the upper critical coupling needs gamma < 9, got %.17g" % gamma)
-    integral = threshold_integral(v, "lambda:%d" % i)
-    if integral <= 0.0:
-        raise ZeroCoupling("the upper threshold integral vanishes; no critical coupling")
-    return math.sqrt((9.0 - gamma) / integral)
+    return _mu_critical(gamma, v, "lambda:%d" % i)
 
 
 def gamma_star(i: int, v: VFunction) -> float:
-    """The gamma where the two critical couplings coincide: 9 I_min / (2 I_max + I_min)."""
-    i_min = threshold_integral(v, "origin")
-    i_max = threshold_integral(v, "lambda:%d" % i)
-    if i_min <= 0.0 or i_max <= 0.0:
+    """The gamma where mu_left and mu_right coincide: 9 I_min / (2 I_max + I_min)."""
+    g_lo, j_lo = _threshold_terms(v, "origin")
+    g_hi, j_hi = _threshold_terms(v, "lambda:%d" % i)
+    if not (j_lo > 0.0 and j_hi < 0.0):
         raise ZeroCoupling("threshold integrals vanish; no coupling crossover")
-    return 9.0 * i_min / (2.0 * i_max + i_min)
+    return (g_hi * j_lo - g_lo * j_hi) / (j_lo - j_hi)
 
 
 @dataclass(frozen=True)
@@ -126,8 +157,14 @@ class CriticalCouplings:
 
 
 def critical_couplings(gamma: float, v: VFunction) -> CriticalCouplings:
-    mu_l = mu_left(gamma, v) if gamma > 0.0 else None
-    mu_r = tuple(mu_right(gamma, i, v) if gamma < 9.0 else None for i in range(1, 9))
+    def coupling(which):
+        try:
+            return _mu_critical(gamma, v, which)
+        except DomainError:
+            return None
+
+    mu_l = coupling("origin")
+    mu_r = tuple(coupling("lambda:%d" % i) for i in range(1, 9))
     stars = tuple(gamma_star(i, v) for i in range(1, 9))
     return CriticalCouplings(gamma=gamma, mu_l=mu_l, mu_r=mu_r, gamma_star=stars)
 
@@ -160,16 +197,6 @@ def _denominator_for(label: str, point: TorusPoint):
         )
 
     return den
-
-
-def _critical_mu_for(params_gamma: float, label: str, index, v) -> float:
-    if label == "origin":
-        if not params_gamma > 0.0:
-            raise DomainError("lower-threshold classification needs gamma > 0")
-        return mu_left(params_gamma, v)
-    if not params_gamma < 9.0:
-        raise DomainError("upper-threshold classification needs gamma < 9")
-    return mu_right(params_gamma, index, v)
 
 
 def _samples_off_zero_set(v: VFunction, label: str, point: TorusPoint, seed: int, n: int):
@@ -209,10 +236,11 @@ class ThresholdReport:
     f1_samples: tuple
 
 
-def l2_membership_probe(v: VFunction, params: ModelParams, point: str):
+def l2_membership_probe(v: VFunction, point: str):
     """Estimate whether f1 = -mu v / (w1 - z0) is square-integrable near the threshold.
 
-    Integrates |f1|^2 over 11 dyadic shells with outer radii
+    mu only scales every shell integral by mu^2, so the probe drops it.
+    Integrates |v / (w1 - z0)|^2 over 11 dyadic shells with outer radii
     1.2 * 2^{-j} and fits the log-log slope s of shell integral against
     outer radius.  A power-law local behavior |f1| ~ r^{theta - 1} gives
     s = 2 theta - 1, so s = -1 / +1 / +3 for theta = 0 / 1 / 2; membership
@@ -220,12 +248,11 @@ def l2_membership_probe(v: VFunction, params: ModelParams, point: str):
     (local_exponent, in_l2) with local_exponent = (s + 1)/2.  Raises
     FitUnstable when the fit residual shows no clean power law.
     """
-    label, index, pt = threshold_point(point)
+    label, _, pt = threshold_point(point)
     if v.is_zero:
         raise ZeroCoupling("the coupling function vanishes identically")
     den = _denominator_for(label, pt)
     t0 = pt.to_array()
-    mu = params.mu
 
     radii = _PROBE_RADIUS * 0.5 ** np.arange(12)
     n_r, n_mu, n_phi = 12, 16, 32
@@ -247,7 +274,7 @@ def l2_membership_probe(v: VFunction, params: ModelParams, point: str):
         qz = t0[2] + r[:, None, None] * uz[None, :, :]
         d = np.asarray(den(qx, qy, qz), dtype=float)
         vv = np.broadcast_to(np.asarray(v.evaluate(qx, qy, qz), dtype=float), qx.shape)
-        f1_sq = (mu * vv / d) ** 2
+        f1_sq = (vv / d) ** 2
         weight = (wr_s * r * r)[:, None, None] * wm[None, :, None] * wphi
         shells.append(float(np.sum(f1_sq * weight)))
 
@@ -273,11 +300,11 @@ def classify_threshold(params: ModelParams, v: VFunction, point: str) -> Thresho
     verdict is "none".  The report carries the candidate solution data:
     f0 = 1 and pointwise samples of f1 = -mu v / (w1 - z0).
     """
-    label, index, pt = threshold_point(point)
-    mu_c = _critical_mu_for(params.gamma, label, index, v)
+    label, _, pt = threshold_point(point)
+    mu_c = _mu_critical(params.gamma, v, point)
     matched = abs(params.mu - mu_c) <= _MATCH_RTOL * mu_c
     v_at = v(pt)
-    local_exponent, in_l2 = l2_membership_probe(v, params, point)
+    local_exponent, in_l2 = l2_membership_probe(v, point)
 
     if not matched:
         verdict = "none"
@@ -300,38 +327,3 @@ def classify_threshold(params: ModelParams, v: VFunction, point: str) -> Thresho
         f0=1.0,
         f1_samples=tuple(samples),
     )
-
-
-def resonance_function_check(params: ModelParams, v: VFunction, point: str) -> float:
-    """Residual |Delta(threshold)| / scale at the given parameters.
-
-    Zero exactly at the critical coupling: the determinant at the threshold
-    is gamma - (mu^2/2) I_min at the origin and gamma - 9 + mu^2 I_max at a
-    Lambda point, and this returns |1 - (mu/mu_c)^2| which equals the
-    determinant value divided by its mu = 0 size.
-    """
-    label, index, pt = threshold_point(point)
-    mu_c = _critical_mu_for(params.gamma, label, index, v)
-    return abs(1.0 - (params.mu / mu_c) ** 2)
-
-
-def eigenvector_residuals(params: ModelParams, v: VFunction, point: str, n_samples: int = 100):
-    """Residuals of the candidate threshold solution psi = (1, f1).
-
-    First component: |(w0 - z0) f0 - mu int v f1| computed from the
-    threshold integral (this is |Delta| at the threshold).  Second
-    component: max over random samples of |mu v f0 + (w1 - z0) f1|, which
-    vanishes identically by construction of f1; evaluated honestly.
-    Returns (first_residual, second_residual_max).
-    """
-    label, index, pt = threshold_point(point)
-    integral = threshold_integral(v, point)
-    if label == "origin":
-        first = abs(params.gamma - 0.5 * params.mu ** 2 * integral)
-    else:
-        first = abs(params.gamma - 9.0 + params.mu ** 2 * integral)
-
-    _, vv, d = _samples_off_zero_set(v, label, pt, 2024, n_samples)
-    f1 = -params.mu * vv / d
-    worst = float(np.max(np.abs(params.mu * vv + d * f1), initial=0.0))
-    return first, worst

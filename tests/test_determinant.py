@@ -11,10 +11,10 @@ from friedrichs3d.determinant import (
     _solve_fibers,
     find_discrete_spectrum,
     fredholm_delta,
-    fredholm_delta_threshold,
 )
 from friedrichs3d.lattice import ORIGIN, PI_POINT, TorusPoint, band_endpoints, lambda_point, w1_on_grid
 from friedrichs3d.quadrature import IntegralResult
+from friedrichs3d.thresholds import fredholm_delta_threshold
 from friedrichs3d.vfunction import VFunction, parse_v
 
 from oracles import WATSON_HALF, WATSON_I_EPS, integrate_smooth, pi_point_roots

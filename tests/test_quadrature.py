@@ -7,7 +7,6 @@ from friedrichs3d.quadrature import (
     QuadratureConfig,
     ResolventKernel,
     _KernelBatch,
-    band_resolvent_integral,
     resolvent_integral_2d,
 )
 from friedrichs3d.thresholds import threshold_integral
@@ -300,8 +299,6 @@ def test_kernel_rejects_band_interior(v_one):
         kernel.integral_below(kernel.m + 0.5)
     with pytest.raises(ValueError):
         kernel.integral_above(kernel.M - 0.5)
-    with pytest.raises(ValueError):
-        band_resolvent_integral(parse_v("1"), (0.9, 0.4, -1.2), 0.5 * (kernel.m + kernel.M))
 
 
 def test_kernel_monotone_in_z(v_cos_half):
@@ -312,10 +309,3 @@ def test_kernel_monotone_in_z(v_cos_half):
     above = [kernel.integral_above(kernel.M + d) for d in (3.0, 1.0, 0.3, 0.0)]
     assert all(a > 0 for a in above)
     assert above == sorted(above)
-
-
-def test_signed_resolvent_integral_orientation(v_one):
-    k = TorusPoint(0.5, -0.7, 1.9)
-    kernel = ResolventKernel(v_one, k)
-    assert band_resolvent_integral(v_one, k, kernel.m - 1.0) > 0
-    assert band_resolvent_integral(v_one, k, kernel.M + 1.0) < 0

@@ -11,12 +11,11 @@ from friedrichs3d.thresholds import (
     ZeroCoupling,
     classify_threshold,
     critical_couplings,
-    eigenvector_residuals,
+    fredholm_delta_threshold,
     gamma_star,
     l2_membership_probe,
     mu_left,
     mu_right,
-    resonance_function_check,
     threshold_integral,
 )
 from friedrichs3d.vfunction import VFunction, parse_v
@@ -114,16 +113,15 @@ def test_probe_exponent_tracks_vanishing_order(v_one, v_cos_half, v_one_minus_co
         (v_one_minus_cos, "origin", 2), (v_one_minus_cos, "lambda:3", 0),
         (v_product, "origin", 2), (v_product, "lambda:3", 1),
     ]
-    params = ModelParams(gamma=2.0, mu=0.2)
     for v, point, theta in cases:
-        exponent, in_l2 = l2_membership_probe(v, params, point)
+        exponent, in_l2 = l2_membership_probe(v, point)
         assert exponent == pytest.approx(theta, abs=0.05)
         assert in_l2 == (theta >= 1)
 
 
 def test_probe_rejects_zero_coupling():
     with pytest.raises(ZeroCoupling):
-        l2_membership_probe(VFunction.zero(), ModelParams(gamma=1.0, mu=0.1), "origin")
+        l2_membership_probe(VFunction.zero(), "origin")
 
 
 def test_classification_verdicts(v_one, v_one_minus_cos):
@@ -150,37 +148,6 @@ def test_classification_match_tolerance_boundary(v_one):
     assert inside.verdict == "virtual_level"
     outside = classify_threshold(ModelParams(gamma=gamma, mu=mu_c * (1.0 + 1e-6)), v_one, "origin")
     assert outside.verdict == "none"
-
-
-def test_resonance_function_check_vanishes_at_criticality(v_cos_half):
-    gamma = 2.5
-    mu_c = mu_right(gamma, 4, v_cos_half)
-    assert resonance_function_check(
-        ModelParams(gamma=gamma, mu=mu_c), v_cos_half, "lambda:4"
-    ) == pytest.approx(0.0, abs=1e-12)
-    off = resonance_function_check(
-        ModelParams(gamma=gamma, mu=0.5 * mu_c), v_cos_half, "lambda:4"
-    )
-    assert off == pytest.approx(0.75, abs=1e-12)
-
-
-def test_eigenvector_residuals_at_criticality(v_product):
-    gamma = 2.0
-    params = ModelParams(gamma=gamma, mu=mu_left(gamma, v_product))
-    first, second = eigenvector_residuals(params, v_product, "origin")
-    assert first < 1e-10
-    assert second < 1e-12
-    params = ModelParams(gamma=gamma, mu=mu_right(gamma, 2, v_product))
-    first, second = eigenvector_residuals(params, v_product, "lambda:2")
-    assert first < 1e-10
-    assert second < 1e-12
-
-
-def test_eigenvector_residuals_detect_off_critical(v_product):
-    gamma = 2.0
-    mu_c = mu_left(gamma, v_product)
-    first, _ = eigenvector_residuals(ModelParams(gamma=gamma, mu=2.0 * mu_c), v_product, "origin")
-    assert first == pytest.approx(3.0 * gamma, rel=1e-9)  # Delta = gamma (1 - 4) at 2 mu_c
 
 
 def test_f1_samples_match_a_one_at_a_time_draw(v_product):
@@ -248,3 +215,36 @@ def test_threshold_integrals_match_the_polar_oracle(terms, lam, gamma):
         assert got == pytest.approx(ref, rel=max(2e-3, 10.0 * est / abs(ref)))
     assert mu_left(gamma, v) ** 2 * i_min == pytest.approx(2.0 * gamma, rel=1e-12)
     assert mu_right(gamma, lam, v) ** 2 * i_max == pytest.approx(9.0 - gamma, rel=1e-12)
+
+
+def _critical(gamma, v, which):
+    if which == "origin":
+        return mu_left(gamma, v)
+    return mu_right(gamma, int(which.split(":")[1]), v)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    # distinct modes, so v is never zero
+    terms=st.lists(
+        st.tuples(st.sampled_from(_MODES), st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 0.05)),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda term: term[0],
+    ),
+    which=st.sampled_from(["origin"] + ["lambda:%d" % i for i in range(1, 9)]),
+    depth=st.floats(0.05, 10.0),
+    t=st.floats(0.25, 2.0),
+)
+def test_threshold_determinant_is_one_formula(terms, which, depth, t):
+    # the domain is gamma > 0 at the origin and gamma < 9 on Lambda; with
+    # g0 the threshold's end of it, Delta at t mu_c is (gamma - g0)(1 - t^2)
+    g0, gamma = (0.0, depth) if which == "origin" else (9.0, 9.0 - depth)
+    v = VFunction(terms)
+    mu_c = _critical(gamma, v, which)
+    got = fredholm_delta_threshold(ModelParams(gamma=gamma, mu=t * mu_c), v, which)
+    scale = abs(gamma - g0)
+    assert got == pytest.approx((gamma - g0) * (1.0 - t * t), rel=1e-12, abs=1e-12 * scale)
+    # a gamma outside the domain is refused as such, before v = 0 is noticed
+    with pytest.raises(DomainError):
+        _critical(g0 - np.sign(gamma - g0) * depth, VFunction.zero(), which)
