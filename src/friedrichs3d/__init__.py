@@ -21,10 +21,7 @@ from .determinant import (
 from .lattice import (
     ORIGIN,
     PI_POINT,
-    LambdaSet,
     TorusPoint,
-    band_edge_argmax,
-    band_edge_argmin,
     band_endpoints,
     epsilon,
     lambda_point,
@@ -32,13 +29,8 @@ from .lattice import (
     w0,
     w1,
 )
-from .oracle import DiscretizedOperator, dense_eigenvalues, discretize, extreme_eigenvalues
-from .quadrature import (
-    IntegralResult,
-    NonConvergence,
-    QuadratureConfig,
-    ResolventKernel,
-)
+from .oracle import DiscretizedOperator, discretize, extreme_eigenvalues
+from .quadrature import IntegralResult, NonConvergence, ResolventKernel
 from .thresholds import (
     CriticalCouplings,
     DomainError,
@@ -60,21 +52,17 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "TorusPoint",
-    "LambdaSet",
     "ORIGIN",
     "PI_POINT",
     "epsilon",
     "w0",
     "w1",
     "band_endpoints",
-    "band_edge_argmin",
-    "band_edge_argmax",
     "lambda_points",
     "lambda_point",
     "VFunction",
     "VParseError",
     "parse_v",
-    "QuadratureConfig",
     "IntegralResult",
     "NonConvergence",
     "ResolventKernel",
@@ -102,5 +90,4 @@ __all__ = [
     "DiscretizedOperator",
     "discretize",
     "extreme_eigenvalues",
-    "dense_eigenvalues",
 ]

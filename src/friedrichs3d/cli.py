@@ -28,7 +28,7 @@ from .determinant import (
 )
 from .lattice import TorusPoint
 from .oracle import discretize, extreme_eigenvalues
-from .quadrature import DEFAULT_CONFIG, NonConvergence, QuadratureConfig
+from .quadrature import NonConvergence
 from .thresholds import (
     DomainError,
     FitUnstable,
@@ -73,16 +73,6 @@ class RunConfig:
     tol: float | None = None
     format: str = "json"
     output: str | None = None
-    quad_base_grid: int = DEFAULT_CONFIG.base_grid
-    quad_target_rel_tol: float = DEFAULT_CONFIG.target_rel_tol
-    quad_max_refinements: int = DEFAULT_CONFIG.max_refinements
-
-    def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(
-            base_grid=self.quad_base_grid,
-            target_rel_tol=self.quad_target_rel_tol,
-            max_refinements=self.quad_max_refinements,
-        )
 
     def coupling(self) -> VFunction:
         if self.v_terms is not None:
@@ -150,9 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # top-level --output/--format parsed before the subcommand name.
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--output", default=argparse.SUPPRESS, help="write the report to this path")
-    common.add_argument("--quad-base-grid", type=int, default=None)
-    common.add_argument("--quad-tol", type=float, default=None)
-    common.add_argument("--quad-max-refinements", type=int, default=None)
 
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--gamma", type=float, required=True)
@@ -219,12 +206,6 @@ def _config_from_args(args) -> RunConfig:
         cfg.format = args.format
     if getattr(args, "output", None):
         cfg.output = args.output
-    if getattr(args, "quad_base_grid", None) is not None:
-        cfg.quad_base_grid = args.quad_base_grid
-    if getattr(args, "quad_tol", None) is not None:
-        cfg.quad_target_rel_tol = args.quad_tol
-    if getattr(args, "quad_max_refinements", None) is not None:
-        cfg.quad_max_refinements = args.quad_max_refinements
     return cfg
 
 
@@ -241,7 +222,6 @@ def _cmd_spectrum(cfg: RunConfig):
     params = cfg.model()
     v = cfg.coupling()
     k = cfg.torus_k()
-    quad = cfg.quadrature()
     window = find_discrete_spectrum(params, v, k)
 
     residuals = {}
@@ -252,7 +232,7 @@ def _cmd_spectrum(cfg: RunConfig):
             refinements[side] = None
             continue
         try:
-            value, integral = fredholm_delta(params, v, k, root, quad, with_diagnostics=True)
+            value, integral = fredholm_delta(params, v, k, root, with_diagnostics=True)
             residuals[side] = abs(value)
             refinements[side] = integral.refinements_used if integral is not None else 0
         except InsideEssentialSpectrum:
@@ -545,7 +525,6 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        cfg.quadrature()  # every report embeds the quadrature knobs: reject bad ones
         out = handler(cfg)
     except _NUMERICAL_ERRORS as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import TorusPoint, band_endpoints, w0
-from .quadrature import (
-    QuadratureConfig,
-    ResolventKernel,
-    _KernelBatch,
-    _Kernels,
-    resolvent_integral_2d,
-)
+from .quadrature import ResolventKernel, _KernelBatch, _Kernels, resolvent_integral_2d
 from .vfunction import VFunction
 
 __all__ = [
@@ -90,13 +84,12 @@ def fredholm_delta(
     v: VFunction,
     k,
     z: float,
-    cfg: QuadratureConfig | None = None,
     with_diagnostics: bool = False,
 ):
     """Determinant at spectral parameter z outside the fiber band.
 
     Evaluates the integral with `resolvent_integral_2d` (t3 in closed form,
-    a `cfg`-sized midpoint grid in (t1, t2)), a route independent of the
+    a graded midpoint grid in (t1, t2)), a route independent of the
     solver's kernel, so it audits roots.  z must keep at least EDGE_MARGIN
     distance from [m(k), M(k)]; inside that guard band
     InsideEssentialSpectrum is raised.  With `with_diagnostics`, returns
@@ -114,7 +107,7 @@ def fredholm_delta(
         result = None
         value = base
     else:
-        result = resolvent_integral_2d(v, k, z, cfg)
+        result = resolvent_integral_2d(v, k, z)
         value = base - params.mu ** 2 * result.value
     if with_diagnostics:
         return value, result

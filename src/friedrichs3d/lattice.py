@@ -9,7 +9,6 @@ per-axis extremization; those closed forms live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -19,7 +18,6 @@ TWO_PI = 2.0 * np.pi
 
 __all__ = [
     "TorusPoint",
-    "LambdaSet",
     "ORIGIN",
     "PI_POINT",
     "reduce_coords",
@@ -28,8 +26,6 @@ __all__ = [
     "w1",
     "w1_on_grid",
     "band_endpoints",
-    "band_edge_argmin",
-    "band_edge_argmax",
     "lambda_points",
     "lambda_point",
     "threshold_point",
@@ -177,60 +173,25 @@ def band_endpoints(k):
     return lo, hi
 
 
-def band_edge_argmin(k) -> TorusPoint:
-    """The p minimizing w1(k, .), namely p = -k/2 per axis (canonical rep)."""
-    kc = _coords_of(k) if not isinstance(k, TorusPoint) else k.to_array()
-    return TorusPoint(-kc / 2.0)
-
-
-def band_edge_argmax(k) -> TorusPoint:
-    """The p maximizing w1(k, .), namely p = pi - k/2 per axis."""
-    kc = _coords_of(k) if not isinstance(k, TorusPoint) else k.to_array()
-    return TorusPoint(np.pi - kc / 2.0)
-
-
-@dataclass(frozen=True)
-class LambdaSet:
+@lru_cache(maxsize=1)
+def lambda_points() -> tuple:
     """The eight momenta with all coordinates +-2pi/3, in lexicographic order.
 
     These are exactly the points where the fiber band maximum M attains its
     global value 27/2, and eps = 9/2 at each of them.
     """
-
-    points: tuple
-
-    def __post_init__(self):
-        if len(self.points) != 8:
-            raise ValueError("LambdaSet holds exactly 8 points")
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
-
-    def __len__(self):
-        return 8
-
-    def point(self, i: int) -> TorusPoint:
-        """1-based accessor, i in 1..8."""
-        if not 1 <= i <= 8:
-            raise ValueError("lambda index must be in 1..8")
-        return self.points[i - 1]
-
-
-@lru_cache(maxsize=1)
-def lambda_points() -> LambdaSet:
     third = TWO_PI / 3.0
-    pts = tuple(
+    return tuple(
         TorusPoint(s1 * third, s2 * third, s3 * third)
         for s1, s2, s3 in product((-1.0, 1.0), repeat=3)
     )
-    return LambdaSet(points=pts)
 
 
 def lambda_point(i: int) -> TorusPoint:
-    return lambda_points().point(i)
+    """The i-th point of `lambda_points()`, 1-based, i in 1..8."""
+    if not 1 <= i <= 8:
+        raise ValueError("lambda index must be in 1..8")
+    return lambda_points()[i - 1]
 
 
 def threshold_point(name: str):

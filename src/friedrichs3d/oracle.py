@@ -5,8 +5,7 @@ operator into an arrowhead matrix: scalar entry w0(k), diagonal block
 w1(k, t_j), and border mu v(t_j) h^{3/2}.  Its extreme eigenvalues
 converge to the true discrete eigenvalues (when they exist) at the
 quadrature rate, giving a solver check that shares no code with the
-determinant route.  Stored as diagonal plus border; never densified
-except through the explicitly size-capped dense path.
+determinant route.  Stored as diagonal plus border; never densified.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from .determinant import ModelParams
 from .lattice import TWO_PI, TorusPoint, w0, w1_on_grid
 from .vfunction import VFunction
 
-__all__ = ["DiscretizedOperator", "discretize", "extreme_eigenvalues", "dense_eigenvalues"]
-
-_DENSE_CAP = 8
+__all__ = ["DiscretizedOperator", "discretize", "extreme_eigenvalues"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,18 +118,3 @@ def extreme_eigenvalues(op: DiscretizedOperator):
     low = _secular_root(op.scalar, dc, b2, lowest=True)
     high = _secular_root(op.scalar, dc, b2, lowest=False)
     return min(low, spectator_min), max(high, spectator_max)
-
-
-def dense_eigenvalues(op: DiscretizedOperator) -> np.ndarray:
-    """Full spectrum through numpy.linalg.eigvalsh; only for grids up to n = 8."""
-    if op.grid_n > _DENSE_CAP:
-        raise ValueError(
-            "dense path is capped at n = %d (requested n = %d)" % (_DENSE_CAP, op.grid_n)
-        )
-    size = 1 + op.grid_n ** 3
-    mat = np.zeros((size, size))
-    mat[0, 0] = op.scalar
-    mat[np.arange(1, size), np.arange(1, size)] = op.diagonal
-    mat[0, 1:] = op.border
-    mat[1:, 0] = op.border
-    return np.linalg.eigvalsh(mat)

@@ -128,12 +128,7 @@ class VFunction:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def reflection_symmetric(self) -> bool:
-        """True when v(-p) = v(p) termwise (no sine factors)."""
-        return all(min(m) >= 0 for m, _ in self.terms)
-
-    def coefficient_bound(self) -> float:
+    def _coefficient_bound(self) -> float:
         return float(sum(abs(c) for _, c in self.terms))
 
     # ---- evaluation ----------------------------------------------------
@@ -228,7 +223,7 @@ class VFunction:
         coords = point.coords if hasattr(point, "coords") else tuple(np.asarray(point, float))
         level = {(0, 0, 0): self}
         for q in range(max_order + 1):
-            scale = max(1.0, self.coefficient_bound() * MAX_HARMONIC ** q)
+            scale = max(1.0, self._coefficient_bound() * MAX_HARMONIC ** q)
             for fn in level.values():
                 if abs(fn.evaluate(*coords)) > 1e-9 * scale:
                     return q

@@ -1,10 +1,12 @@
 """Independent reference computations used by the test suite.
 
 Everything here deliberately avoids the production quadrature and solver
-code paths: brute tensor scans, left-endpoint Riemann sums, a 3D midpoint
-grid with doubling, a graded polar mesh with Richardson extrapolation, a
+code paths: brute tensor scans, the band-edge minimizers, a dense
+eigensolver, left-endpoint Riemann sums, a 3D midpoint grid with
+doubling, a graded polar mesh with Richardson extrapolation, a
 singular-ball split of threshold integrals, and closed-form constants.
-Agreement between these routes and the library is what the tests certify.  Nothing here imports friedrichs3d:
+Agreement between these routes and the library is what the tests
+certify.  Nothing here imports friedrichs3d:
 the benchmark loads this module without the package on its path.
 """
 
@@ -59,6 +61,38 @@ def brute_band_endpoints(k, n: int = 201):
         lo = min(lo, float(w.min()))
         hi = max(hi, float(w.max()))
     return lo, hi
+
+
+def band_edge_argmin(k) -> np.ndarray:
+    """The p minimizing w1(k, .): p = -k/2 per axis, for k in (-pi, pi]^3."""
+    return -0.5 * np.asarray(k, dtype=float)
+
+
+def band_edge_argmax(k) -> np.ndarray:
+    """The p maximizing w1(k, .): p = pi - k/2 per axis, for k in (-pi, pi]^3."""
+    return np.pi - 0.5 * np.asarray(k, dtype=float)
+
+
+_DENSE_CAP = 8
+
+
+def dense_eigenvalues(op) -> np.ndarray:
+    """Full spectrum of an arrowhead operator through numpy.linalg.eigvalsh.
+
+    `op` carries `grid_n`, `scalar`, `diagonal` and `border` like
+    friedrichs3d.oracle.DiscretizedOperator; only grids up to n = 8.
+    """
+    if op.grid_n > _DENSE_CAP:
+        raise ValueError(
+            "dense path is capped at n = %d (requested n = %d)" % (_DENSE_CAP, op.grid_n)
+        )
+    size = 1 + op.diagonal.size
+    mat = np.zeros((size, size))
+    mat[0, 0] = op.scalar
+    mat[np.arange(1, size), np.arange(1, size)] = op.diagonal
+    mat[0, 1:] = op.border
+    mat[1:, 0] = op.border
+    return np.linalg.eigvalsh(mat)
 
 
 def left_riemann_integral(f, n: int = 128) -> float:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from friedrichs3d import quadrature
 from friedrichs3d.cli import RunConfig
 from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
 from friedrichs3d.lattice import TorusPoint
@@ -38,7 +39,6 @@ def test_rerun_from_embedded_config_is_byte_identical(run_cli, tmp_path):
     code, _, _ = run_cli(
         "spectrum",
         "--gamma", "1.2", "--mu", "0.8", "--k", "0,0,0",
-        "--quad-tol", "1e-9",
         "--output", str(first),
     )
     assert code == 0
@@ -47,7 +47,6 @@ def test_rerun_from_embedded_config_is_byte_identical(run_cli, tmp_path):
     assert filecmp.cmp(first, second, shallow=False)
     # the embedded config never names the delivery path
     assert json.loads(first.read_text())["config"]["output"] is None
-    assert json.loads(first.read_text())["config"]["quad_target_rel_tol"] == 1e-9
 
 
 def test_bands_csv_shape(run_cli):
@@ -94,21 +93,25 @@ def test_bands_rerun_from_embedded_config_is_byte_identical(run_cli, tmp_path):
     assert filecmp.cmp(first, second, shallow=False)
 
 
-def test_config_with_the_removed_threads_key_is_rejected(run_cli, tmp_path):
-    old = tmp_path / "report.json"
-    old.write_text(json.dumps({"config": {"command": "bands", "gamma": 6.0, "mu": 0.1, "threads": 4}}))
-    code, _, err = run_cli("--config", str(old))
-    assert code == 2
-    assert "threads" in err
+# config keys of removed knobs, with the flag that used to set each
+_REMOVED_KNOBS = {
+    "threads": "--threads",
+    "quad_singular_ball_radius": "--quad-ball-radius",
+    "quad_base_grid": "--quad-base-grid",
+    "quad_target_rel_tol": "--quad-tol",
+    "quad_max_refinements": "--quad-max-refinements",
+}
 
 
-def test_config_with_the_removed_ball_radius_key_is_rejected(run_cli, tmp_path):
+@pytest.mark.parametrize("key", list(_REMOVED_KNOBS))
+def test_config_with_a_removed_key_is_rejected(run_cli, tmp_path, key):
+    # reports written before a knob was removed name it: rerunning them exits 2
     old = tmp_path / "report.json"
-    old.write_text(json.dumps({"config": {"command": "critical", "gamma": 2.0, "quad_singular_ball_radius": 1.2}}))
+    old.write_text(json.dumps({"config": {"command": "critical", "gamma": 2.0, key: 4}}))
     code, _, err = run_cli("--config", str(old))
     assert code == 2
-    assert "quad_singular_ball_radius" in err
-    code, _, _ = run_cli("critical", "--gamma", "2", "--quad-ball-radius", "0.9")
+    assert key in err
+    code, _, _ = run_cli("critical", "--gamma", "2", _REMOVED_KNOBS[key], "4")
     assert code == 2
 
 
@@ -204,7 +207,6 @@ def test_verify_disagreement_sets_exit_three(run_cli):
         ("classify", "--gamma", "2", "--mu", "0.5", "--point", "lambda:11"),
         ("scan-gamma", "--gamma-min", "5", "--gamma-max", "2"),
         ("scan-gamma", "--gamma-min", "-1", "--gamma-max", "8"),
-        ("spectrum", "--gamma", "1", "--mu", "0.5", "--k", "0,0,0", "--quad-base-grid", "3"),
     ],
 )
 def test_validation_failures_exit_two(run_cli, argv):
@@ -213,33 +215,30 @@ def test_validation_failures_exit_two(run_cli, argv):
     assert err.strip()  # a diagnostic lands on stderr
 
 
-def test_numerical_failure_exits_three(run_cli):
-    # the grid audit of `spectrum` cannot meet 1e-13 without refining
-    code, _, err = run_cli(
+def test_numerical_failure_exits_three(run_cli, monkeypatch):
+    # the grid audit of `spectrum` cannot converge without refining
+    monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 0)
+    code, out, err = run_cli(
         "spectrum", "--gamma", "-2", "--mu", "0.6", "--k", "0.5,0.1,-0.8",
-        "--v", "1 + 0.1 * cos(3*p1)", "--quad-max-refinements", "0", "--quad-tol", "1e-13",
+        "--v", "1 + 0.1 * cos(3*p1)",
     )
     assert code == 3
-    assert "refin" in err or "converge" in err.lower()
+    assert "no convergence after 0 refinements" in err
+    assert out == ""  # a numerical failure emits no report
 
 
-def test_near_band_audit_refuses_quickly(run_cli):
-    # a root 9.7e-5 above the band: the (t1, t2) audit grid settles to 1.5e-6
-    # relative by 1024^2, short of the default 1e-8, and the report is refused
-    argv = [
+def test_near_band_audit_certifies_with_the_defaults(run_cli):
+    # a root 9.7e-5 above the band: the audit grid, graded toward the edge
+    # minimizer, certifies it with its defaults in a few doublings
+    code, out, err = run_cli(
         "spectrum", "--gamma=-1.115", "--mu", "0.331", "--k=0.7789,-2.4694,-0.1161",
         "--v", "0.8681 + -0.3394*cos(p1) + 0.2634*sin(2*p2) + 0.3069*cos(p2)*cos(p3)",
-    ]
-    code, out, err = run_cli(*argv)
-    assert code == 3
-    assert "grid 1024^2" in err
-    assert out == ""  # a numerical failure emits no report
-    # two more doublings certify it
-    code, out, err = run_cli(*argv, "--quad-max-refinements", "8")
+    )
     assert code == 0, err
-    report = json.loads(out)
-    assert report["diagnostics"]["quadrature_refinements"]["above"] == 8
-    assert report["diagnostics"]["residuals"]["above"] < 1e-9
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["residuals"]["below"] < 1e-9
+    assert diagnostics["residuals"]["above"] < 1e-9
+    assert diagnostics["quadrature_refinements"]["above"] <= 4
 
 
 def test_repeated_calls_share_no_parser_state(run_cli):

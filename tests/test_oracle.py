@@ -3,23 +3,10 @@ import pytest
 
 from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
 from friedrichs3d.lattice import TorusPoint
-from friedrichs3d.oracle import (
-    DiscretizedOperator,
-    dense_eigenvalues,
-    discretize,
-    extreme_eigenvalues,
-)
+from friedrichs3d.oracle import DiscretizedOperator, discretize, extreme_eigenvalues
 from friedrichs3d.vfunction import parse_v
 
-
-def _assemble_dense(op: DiscretizedOperator) -> np.ndarray:
-    n = op.diagonal.size
-    mat = np.zeros((n + 1, n + 1))
-    mat[0, 0] = op.scalar
-    mat[0, 1:] = op.border
-    mat[1:, 0] = op.border
-    mat[1:, 1:] = np.diag(op.diagonal)
-    return mat
+from oracles import dense_eigenvalues
 
 
 def test_discretize_shapes_and_values(v_cos_half):
@@ -53,7 +40,7 @@ def test_secular_extremes_match_dense_solver(rng):
         k = TorusPoint(rng.uniform(-np.pi, np.pi, 3))
         op = discretize(params, v, k, int(rng.integers(3, 9)))
         lo, hi = extreme_eigenvalues(op)
-        dense = np.linalg.eigvalsh(_assemble_dense(op))
+        dense = dense_eigenvalues(op)
         assert lo == pytest.approx(float(dense[0]), abs=1e-10)
         assert hi == pytest.approx(float(dense[-1]), abs=1e-10)
 
@@ -67,7 +54,7 @@ def test_zero_borders_decouple_as_spectators():
         k=TorusPoint(0.0, 0.0, 0.0), grid_n=2, scalar=-1.0, diagonal=diag, border=border
     )
     lo, hi = extreme_eigenvalues(op)
-    dense = np.linalg.eigvalsh(_assemble_dense(op))
+    dense = dense_eigenvalues(op)
     assert lo == pytest.approx(float(dense[0]), abs=1e-12)
     assert hi == pytest.approx(float(dense[-1]), abs=1e-12)
     # fully decoupled arrow: pure diagonal plus isolated scalar

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
+from friedrichs3d import quadrature
 from friedrichs3d.lattice import ORIGIN, PI_POINT, TorusPoint, lambda_point
-from friedrichs3d.quadrature import (
-    NonConvergence,
-    QuadratureConfig,
-    ResolventKernel,
-    _KernelBatch,
-    resolvent_integral_2d,
-)
+from friedrichs3d.quadrature import NonConvergence, ResolventKernel, _KernelBatch, resolvent_integral_2d
 from friedrichs3d.thresholds import threshold_integral
 from friedrichs3d.vfunction import VFunction, parse_v
 
@@ -16,6 +11,7 @@ from oracles import (
     WATSON_HALF,
     WATSON_I_EPS,
     DenominatorVanishesOutsideBall,
+    GridSettings,
     integrate_smooth,
     integrate_threshold,
     left_riemann_integral,
@@ -24,19 +20,6 @@ from oracles import (
 
 TWO_PI = 2.0 * np.pi
 CELL_VOLUME = TWO_PI ** 3
-
-
-def test_config_validation():
-    QuadratureConfig(base_grid=4, target_rel_tol=1e-2, max_refinements=0)
-    for kwargs in (
-        dict(base_grid=3),
-        dict(base_grid=16.0),
-        dict(target_rel_tol=0.5),
-        dict(target_rel_tol=1e-15),
-        dict(max_refinements=11),
-    ):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**kwargs)
 
 
 def test_smooth_quadrature_exact_on_trigonometric_polynomials():
@@ -65,7 +48,7 @@ def test_smooth_quadrature_reports_refinement_metadata():
     def f(px, py, pz):
         return np.exp(np.cos(px) * np.cos(py)) + 0.0 * pz
 
-    res = integrate_smooth(f, QuadratureConfig(base_grid=8, target_rel_tol=1e-8))
+    res = integrate_smooth(f, GridSettings(base_grid=8, target_rel_tol=1e-8, max_refinements=6))
     assert res.converged
     assert res.refinements_used >= 1
     assert res.est_error <= 1e-8 * abs(res.value) + 1e-12
@@ -75,7 +58,7 @@ def test_smooth_quadrature_raises_on_unattainable_tolerance():
     def f(px, py, pz):
         return np.exp(np.cos(px) * np.cos(py) * np.cos(pz))
 
-    cfg = QuadratureConfig(base_grid=4, target_rel_tol=1e-13, max_refinements=1)
+    cfg = GridSettings(base_grid=4, target_rel_tol=1e-13, max_refinements=1)
     with pytest.raises(RuntimeError, match="no convergence after 1 refinements"):
         integrate_smooth(f, cfg)
 
@@ -104,26 +87,27 @@ def test_audit_route_closed_form_at_corner_momentum(v_one):
 
 
 def test_audit_route_matches_the_kernel_next_to_the_band():
-    # 1e-3 from either edge, where a 3D grid would need more than 1024^3 points
+    # down to the solver's edge margin from either edge, where a 3D grid would
+    # need more than 1024^3 points and an ungraded (t1, t2) grid 4096^2 at 1e-4
     v = parse_v("0.8681 - 0.3394*cos(p1) + 0.2634*sin(2*p2) + 0.3069*cos(p2)*cos(p3)")
     k = TorusPoint(0.7789, -2.4694, -0.1161)
     kernel = ResolventKernel(v, k)
-    below = resolvent_integral_2d(v, k, kernel.m - 1e-3)
-    above = resolvent_integral_2d(v, k, kernel.M + 1e-3)
-    assert below.converged and above.converged
-    assert below.value == pytest.approx(kernel.integral_below(kernel.m - 1e-3), rel=1e-12)
-    assert above.value == pytest.approx(-kernel.integral_above(kernel.M + 1e-3), rel=1e-12)
+    for delta in (1e-3, 1e-4, 1e-6):
+        below = resolvent_integral_2d(v, k, kernel.m - delta)
+        above = resolvent_integral_2d(v, k, kernel.M + delta)
+        assert below.value == pytest.approx(kernel.integral_below(kernel.m - delta), rel=1e-12)
+        assert above.value == pytest.approx(-kernel.integral_above(kernel.M + delta), rel=1e-12)
 
 
-def test_audit_route_refuses_the_band_and_reports_its_grid(v_cos_half):
+def test_audit_route_refuses_the_band_and_reports_its_grid(v_cos_half, monkeypatch):
     k = TorusPoint(0.9, 0.4, -1.2)
     kernel = ResolventKernel(v_cos_half, k)
     for z in (kernel.m, 0.5 * (kernel.m + kernel.M), kernel.M):
         with pytest.raises(ValueError):
             resolvent_integral_2d(v_cos_half, k, z)
-    cfg = QuadratureConfig(base_grid=4, target_rel_tol=1e-13, max_refinements=2)
-    with pytest.raises(NonConvergence, match=r"grid 16\^2"):
-        resolvent_integral_2d(v_cos_half, k, kernel.m - 1e-2, cfg)
+    monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 0)
+    with pytest.raises(NonConvergence, match=r"after 0 refinements \(grid 16\^2"):
+        resolvent_integral_2d(v_cos_half, k, kernel.m - 1e-2)
 
 
 # ---------------------------------------------------------------------------

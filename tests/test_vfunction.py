@@ -132,13 +132,6 @@ def test_parser_rejects_malformed_input(bad):
         parse_v(bad)
 
 
-def test_reflection_symmetry_flag():
-    assert parse_v("1 - cos(p1)").reflection_symmetric
-    assert parse_v("cos(p1) * cos(2*p2)").reflection_symmetric
-    assert not parse_v("sin(p1)").reflection_symmetric
-    assert not parse_v("1 + 0.1 * sin(3*p2)").reflection_symmetric
-
-
 def test_round_trip_serialization():
     v = parse_v("0.5 - cos(p1) * sin(p3)")
     w = VFunction.from_terms(v.to_terms())
