@@ -47,9 +47,10 @@ def main():
         print("%-34s %-16s %-16s" % (text, row[0], row[1]))
 
     print()
-    print("s is the log-log slope of shell integrals of |f1|^2; -1 marks a")
-    print("virtual level, s >= +1 a genuine edge eigenvalue. r is the")
-    print("determinant at the threshold, the residual of the pair's first row.")
+    print("s = 2q - 1 is the log-log slope of shell integrals of |f1|^2, from")
+    print("the exact vanishing order q of v at the point: -1 marks a virtual")
+    print("level, s >= +1 a genuine edge eigenvalue. r is the determinant at")
+    print("the threshold, the residual of the pair's first row.")
 
 
 if __name__ == "__main__":

@@ -34,14 +34,12 @@ from .quadrature import IntegralResult, NonConvergence, ResolventKernel
 from .thresholds import (
     CriticalCouplings,
     DomainError,
-    FitUnstable,
     ThresholdReport,
     ZeroCoupling,
     classify_threshold,
     critical_couplings,
     fredholm_delta_threshold,
     gamma_star,
-    l2_membership_probe,
     mu_left,
     mu_right,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "find_discrete_spectrum",
     "DomainError",
     "ZeroCoupling",
-    "FitUnstable",
     "CriticalCouplings",
     "ThresholdReport",
     "mu_left",
@@ -82,7 +79,6 @@ __all__ = [
     "gamma_star",
     "critical_couplings",
     "classify_threshold",
-    "l2_membership_probe",
     "ESSENTIAL_BAND",
     "BandStructure",
     "assemble_bands",

@@ -92,15 +92,13 @@ def assemble_bands(
     # insert quarter-spaced points along that link
     h = TWO_PI / resolution
     refine = set()
-    grid_windows = windows[: len(grid_pts)]
-    idx = {p: w for p, w in zip(grid_pts, grid_windows)}
     for p in grid_pts:
-        w = idx[p]
+        w = by_point[p]
         for axis in range(3):
             step = [0.0, 0.0, 0.0]
             step[axis] = h
             q = p + step
-            wq = idx.get(q) or by_point.get(q)
+            wq = by_point.get(q)
             if wq is None:
                 continue
             for side in ("below", "above"):

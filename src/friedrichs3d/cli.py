@@ -28,10 +28,8 @@ from .determinant import (
 )
 from .lattice import TorusPoint
 from .oracle import discretize, extreme_eigenvalues
-from .quadrature import NonConvergence
 from .thresholds import (
     DomainError,
-    FitUnstable,
     ZeroCoupling,
     classify_threshold,
     critical_couplings,
@@ -50,7 +48,8 @@ _VALIDATION_ERRORS = (
     InsideEssentialSpectrum,
     ValueError,
 )
-_NUMERICAL_ERRORS = (NonConvergence, FitUnstable, RuntimeError)
+# quadrature.NonConvergence is a RuntimeError
+_NUMERICAL_ERRORS = RuntimeError
 
 
 @dataclasses.dataclass
@@ -382,6 +381,8 @@ def _cmd_verify(cfg: RunConfig):
     v = cfg.coupling()
     k = cfg.torus_k()
     tol = cfg.tol if cfg.tol is not None else 1e-3
+    if not 0.0 < tol < np.inf:
+        raise ValueError("verify needs a finite --tol > 0, got %r" % tol)
     grids = cfg.grids if cfg.grids else [8, 16, 32]
 
     window = find_discrete_spectrum(params, v, k)

@@ -17,8 +17,9 @@ crossover gamma_star is where two of them coincide.
 At the critical coupling the threshold solution psi = (1, f1) with
 f1(q) = -mu v(q) / (w1(k, q) - z0) is square-integrable iff v vanishes
 at the singular point.  The verdict reads that dichotomy off |v| at the
-point (below 1e-12); the report adds an independent numerical estimate,
-shell integrals of |f1|^2 against dyadic radii.
+point (below 1e-12).  The report's local exponent is the exact vanishing
+order q of v there, read from exact derivatives of the trigonometric
+polynomial: |f1| ~ r^{q-2} near the point, so f1 is in L^2 iff q >= 1.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .vfunction import VFunction
 __all__ = [
     "DomainError",
     "ZeroCoupling",
-    "FitUnstable",
     "CriticalCouplings",
     "ThresholdReport",
     "fredholm_delta_threshold",
@@ -46,13 +46,10 @@ __all__ = [
     "gamma_star",
     "critical_couplings",
     "classify_threshold",
-    "l2_membership_probe",
 ]
 
 _MATCH_RTOL = 1e-8
 _VANISH_TOL = 1e-12
-# outer radius of the shells of `l2_membership_probe`
-_PROBE_RADIUS = 1.2
 # one request works on one v, which has nine threshold integrals
 _CACHE_SIZE = 9
 # per threshold label: the side's name, g0, and the factor j / threshold_integral
@@ -65,10 +62,6 @@ class DomainError(ValueError):
 
 class ZeroCoupling(ValueError):
     """The threshold integral vanishes (v is trivial), no critical coupling."""
-
-
-class FitUnstable(RuntimeError):
-    """The shell-integral log-log fit is too far from a power law."""
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -236,79 +229,31 @@ class ThresholdReport:
     f1_samples: tuple
 
 
-def l2_membership_probe(v: VFunction, point: str):
-    """Estimate whether f1 = -mu v / (w1 - z0) is square-integrable near the threshold.
-
-    mu only scales every shell integral by mu^2, so the probe drops it.
-    Integrates |v / (w1 - z0)|^2 over 11 dyadic shells with outer radii
-    1.2 * 2^{-j} and fits the log-log slope s of shell integral against
-    outer radius.  A power-law local behavior |f1| ~ r^{theta - 1} gives
-    s = 2 theta - 1, so s = -1 / +1 / +3 for theta = 0 / 1 / 2; membership
-    in L^2 is s > 0.1 (divergent harmonic sum exactly at s = 0).  Returns
-    (local_exponent, in_l2) with local_exponent = (s + 1)/2.  Raises
-    FitUnstable when the fit residual shows no clean power law.
-    """
-    label, _, pt = threshold_point(point)
-    if v.is_zero:
-        raise ZeroCoupling("the coupling function vanishes identically")
-    den = _denominator_for(label, pt)
-    t0 = pt.to_array()
-
-    radii = _PROBE_RADIUS * 0.5 ** np.arange(12)
-    n_r, n_mu, n_phi = 12, 16, 32
-    xr, wr = np.polynomial.legendre.leggauss(n_r)
-    xm, wm = np.polynomial.legendre.leggauss(n_mu)
-    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
-    wphi = 2.0 * np.pi / n_phi
-    st = np.sqrt(np.maximum(0.0, 1.0 - xm * xm))
-    ux = st[:, None] * np.cos(phi)[None, :]
-    uy = st[:, None] * np.sin(phi)[None, :]
-    uz = np.broadcast_to(xm[:, None], ux.shape)
-
-    shells = []
-    for r_out, r_in in zip(radii[:-1], radii[1:]):
-        r = 0.5 * (r_out - r_in) * xr + 0.5 * (r_out + r_in)
-        wr_s = 0.5 * (r_out - r_in) * wr
-        qx = t0[0] + r[:, None, None] * ux[None, :, :]
-        qy = t0[1] + r[:, None, None] * uy[None, :, :]
-        qz = t0[2] + r[:, None, None] * uz[None, :, :]
-        d = np.asarray(den(qx, qy, qz), dtype=float)
-        vv = np.broadcast_to(np.asarray(v.evaluate(qx, qy, qz), dtype=float), qx.shape)
-        f1_sq = (vv / d) ** 2
-        weight = (wr_s * r * r)[:, None, None] * wm[None, :, None] * wphi
-        shells.append(float(np.sum(f1_sq * weight)))
-
-    shells = np.array(shells)
-    if np.any(shells <= 0.0):
-        raise FitUnstable("shell integrals are not positive; no power law to fit")
-    x = np.log(radii[:-1])
-    y = np.log(shells)
-    slope, intercept = np.polyfit(x, y, 1)
-    rms = float(np.sqrt(np.mean((slope * x + intercept - y) ** 2)))
-    if rms > 0.2:
-        raise FitUnstable("log-log shell fit residual %.3g exceeds 0.2" % rms)
-    local_exponent = 0.5 * (float(slope) + 1.0)
-    return local_exponent, bool(slope > 0.1)
-
-
 def classify_threshold(params: ModelParams, v: VFunction, point: str) -> ThresholdReport:
     """Decide eigenvalue / virtual level / nothing at a threshold.
 
     At mu equal (to 1e-8 relative) to the matched critical coupling, the
     threshold carries an eigenvalue when v vanishes at the singular point
     and a virtual level (resonance) otherwise; away from criticality the
-    verdict is "none".  The report carries the candidate solution data:
-    f0 = 1 and pointwise samples of f1 = -mu v / (w1 - z0).
+    verdict is "none".  The local exponent is the exact vanishing order q
+    of v at the point (0 when |v| there is not below 1e-12): f1 ~ r^{q-2},
+    so f1 is square-integrable near the point iff q >= 1.  The report
+    carries the candidate solution data: f0 = 1 and pointwise samples of
+    f1 = -mu v / (w1 - z0).
     """
     label, _, pt = threshold_point(point)
     mu_c = _mu_critical(params.gamma, v, point)
     matched = abs(params.mu - mu_c) <= _MATCH_RTOL * mu_c
     v_at = v(pt)
-    local_exponent, in_l2 = l2_membership_probe(v, point)
+    vanishes = abs(v_at) < _VANISH_TOL
+    # the q = 0 test of `vanishing_order` is looser, so a vanishing v has order >= 1
+    order = v.vanishing_order(pt) if vanishes else 0
+    if order is None:
+        raise ZeroCoupling("v vanishes to every order at %s; it is zero to round-off" % point)
 
     if not matched:
         verdict = "none"
-    elif abs(v_at) < _VANISH_TOL:
+    elif vanishes:
         verdict = "eigenvalue"
     else:
         verdict = "virtual_level"
@@ -322,8 +267,8 @@ def classify_threshold(params: ModelParams, v: VFunction, point: str) -> Thresho
         verdict=verdict,
         mu_critical=mu_c,
         v_at_point=v_at,
-        local_exponent=local_exponent,
-        in_l2=in_l2,
+        local_exponent=float(order),
+        in_l2=order >= 1,
         f0=1.0,
         f1_samples=tuple(samples),
     )

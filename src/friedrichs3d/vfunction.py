@@ -215,14 +215,16 @@ class VFunction:
                 out.append((tuple(new), -n * c))
         return VFunction(out)
 
-    def vanishing_order(self, point, max_order: int = 4):
-        """Smallest q with some order-q partial nonzero at `point`, else None.
+    def vanishing_order(self, point):
+        """Smallest q with some order-q partial nonzero at `point`; None iff v = 0.
 
         Uses exact derivatives, so the answer is free of finite differencing.
+        In u_j = e^{i p_j}, (u1 u2 u3)^4 v is a polynomial of degree <= 8 per
+        variable, so a nonzero v vanishes to order at most 24.
         """
         coords = point.coords if hasattr(point, "coords") else tuple(np.asarray(point, float))
         level = {(0, 0, 0): self}
-        for q in range(max_order + 1):
+        for q in range(6 * MAX_HARMONIC + 1):
             scale = max(1.0, self._coefficient_bound() * MAX_HARMONIC ** q)
             for fn in level.values():
                 if abs(fn.evaluate(*coords)) > 1e-9 * scale:

@@ -4,7 +4,8 @@ Everything here deliberately avoids the production quadrature and solver
 code paths: brute tensor scans, the band-edge minimizers, a dense
 eigensolver, left-endpoint Riemann sums, a 3D midpoint grid with
 doubling, a graded polar mesh with Richardson extrapolation, a
-singular-ball split of threshold integrals, and closed-form constants.
+singular-ball split of threshold integrals, a shell-slope fit of the
+local exponent at a threshold, and closed-form constants.
 Agreement between these routes and the library is what the tests
 certify.  Nothing here imports friedrichs3d:
 the benchmark loads this module without the package on its path.
@@ -370,3 +371,71 @@ def integrate_threshold(v, k, singular_point, sign: str, radius: float = BALL_RA
     if ball_err > max(tol * abs(value), 1e-12):
         raise RuntimeError("ball quadrature moved by %.3g between its two rules" % ball_err)
     return value, complement_err + ball_err
+
+
+# ---------------------------------------------------------------------------
+# Shell-slope probe of the local exponent at a threshold
+# ---------------------------------------------------------------------------
+
+
+def l2_membership_probe(v, point):
+    """Estimate whether f1 = v / (w1(k, .) - w1(k, k)) is square-integrable near k.
+
+    `point` is the singular momentum k: the origin (lower threshold) or a
+    Lambda momentum (upper threshold), where w1(k, q) - w1(k, k) has its
+    quadratic zero at q = k.  Integrates |f1|^2 over 11 dyadic shells around
+    k with outer radii (1.2 / H) 2^{-j}, H the highest harmonic of v (at
+    least 1), and fits the log-log slope s of shell integral against outer
+    radius.  A local power law |f1| ~ r^{theta - 2} gives s = 2 theta - 1,
+    so s = -1 / +1 / +3 for theta = 0 / 1 / 2; membership in L^2 is s > 0.1
+    (divergent harmonic sum exactly at s = 0).  Returns (theta, in_l2) with
+    theta = (s + 1)/2.  Raises ValueError for v = 0 and RuntimeError when
+    the fit residual shows no clean power law (high orders, where the
+    expanded sum for v loses its small values to round-off).  `v` needs
+    `terms` and `evaluate(px, py, pz)` on arrays.
+    """
+    if not v.terms:
+        raise ValueError("the coupling function vanishes identically")
+    k = np.asarray(point, dtype=float)
+    harmonic = max(1, max(abs(n) for mode, _ in v.terms for n in mode))
+
+    def den(qx, qy, qz):
+        # w1(k, q) - w1(k, k) = sum_j cos 2k_j + cos k_j - cos(k_j + q_j) - cos q_j
+        return sum(
+            np.cos(2.0 * kj) + np.cos(kj) - np.cos(kj + qj) - np.cos(qj)
+            for kj, qj in zip(k, (qx, qy, qz))
+        )
+
+    radii = (1.2 / harmonic) * 0.5 ** np.arange(12)
+    n_r, n_mu, n_phi = 12, 16, 32
+    xr, wr = np.polynomial.legendre.leggauss(n_r)
+    xm, wm = np.polynomial.legendre.leggauss(n_mu)
+    phi = (np.arange(n_phi) + 0.5) * (TWO_PI / n_phi)
+    wphi = TWO_PI / n_phi
+    st = np.sqrt(np.maximum(0.0, 1.0 - xm * xm))
+    ux = st[:, None] * np.cos(phi)[None, :]
+    uy = st[:, None] * np.sin(phi)[None, :]
+    uz = np.broadcast_to(xm[:, None], ux.shape)
+
+    shells = []
+    for r_out, r_in in zip(radii[:-1], radii[1:]):
+        r = 0.5 * (r_out - r_in) * xr + 0.5 * (r_out + r_in)
+        wr_s = 0.5 * (r_out - r_in) * wr
+        qx = k[0] + r[:, None, None] * ux[None, :, :]
+        qy = k[1] + r[:, None, None] * uy[None, :, :]
+        qz = k[2] + r[:, None, None] * uz[None, :, :]
+        vv = np.broadcast_to(np.asarray(v.evaluate(qx, qy, qz), dtype=float), qx.shape)
+        f1_sq = (vv / den(qx, qy, qz)) ** 2
+        weight = (wr_s * r * r)[:, None, None] * wm[None, :, None] * wphi
+        shells.append(float(np.sum(f1_sq * weight)))
+
+    shells = np.array(shells)
+    if np.any(shells <= 0.0):
+        raise RuntimeError("shell integrals are not positive; no power law to fit")
+    x = np.log(radii[:-1])
+    y = np.log(shells)
+    slope, intercept = np.polyfit(x, y, 1)
+    rms = float(np.sqrt(np.mean((slope * x + intercept - y) ** 2)))
+    if rms > 0.2:
+        raise RuntimeError("log-log shell fit residual %.3g exceeds 0.2" % rms)
+    return 0.5 * (float(slope) + 1.0), bool(slope > 0.1)

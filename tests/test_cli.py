@@ -155,6 +155,32 @@ def test_classify_reports_verdict(run_cli):
     assert diag["eigensystem_first"] < 1e-6
 
 
+@pytest.mark.parametrize(
+    "text, point, verdict, exponent",
+    [
+        ("cos(2*p1)*cos(2*p2)", "origin", "virtual_level", 0),
+        ("sin(3*p1)", "origin", "eigenvalue", 1),
+        ("sin(3*p1)", "lambda:1", "eigenvalue", 1),
+        ("sin(2*p1)*sin(2*p2)*sin(2*p3)", "origin", "eigenvalue", 3),
+        ("(1-cos(p1))*(1-cos(p2))*(1-cos(p3))", "origin", "eigenvalue", 6),
+        ("1 - 0.999*cos(p1)", "origin", "virtual_level", 0),
+    ],
+)
+def test_classify_reads_the_exact_vanishing_order(run_cli, text, point, verdict, exponent):
+    # cases a shell-slope fit cannot settle; the exact order answers them all
+    code, out, _ = run_cli("critical", "--gamma", "1", "--v", text)
+    crit = json.loads(out)["results"]
+    mu_c = crit["mu_left"] if point == "origin" else crit["mu_right"][0]
+    code, out, err = run_cli(
+        "classify", "--gamma", "1", "--mu", repr(mu_c), "--v", text, "--point", point,
+    )
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert res["verdict"] == verdict
+    assert res["local_exponent"] == exponent
+    assert res["in_l2"] is (exponent >= 1)
+
+
 def test_scan_gamma_csv_and_crossing(run_cli):
     code, out, _ = run_cli(
         "scan-gamma", "--gamma-min", "0.5", "--gamma-max", "8.5",
@@ -194,6 +220,22 @@ def test_verify_disagreement_sets_exit_three(run_cli):
     assert code == 3
     res = json.loads(out)["results"]  # the report is still emitted
     assert res["agreement"] is False
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+def test_verify_rejects_a_bad_tolerance(run_cli, tmp_path, tol):
+    argv = ("verify", "--gamma", "-2", "--mu", "0.6", "--k", "0.5,0.1,-0.8", "--grids", "2,4")
+    code, out, err = run_cli(*argv, "--tol", tol)
+    assert code == 2
+    assert "tol" in err and out == ""
+    config = tmp_path / "report.json"
+    config.write_text(json.dumps({"config": {
+        "command": "verify", "gamma": -2.0, "mu": 0.6, "k": [0.5, 0.1, -0.8],
+        "grids": [2, 4], "tol": float(tol),
+    }}))
+    code, out, err = run_cli("--config", str(config))
+    assert code == 2
+    assert "tol" in err and out == ""
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from friedrichs3d import thresholds, vfunction
 from friedrichs3d.determinant import ModelParams
-from friedrichs3d.lattice import TorusPoint, lambda_point
+from friedrichs3d.lattice import TorusPoint, lambda_point, threshold_point
 from friedrichs3d.thresholds import (
     DomainError,
     ZeroCoupling,
@@ -13,14 +13,13 @@ from friedrichs3d.thresholds import (
     critical_couplings,
     fredholm_delta_threshold,
     gamma_star,
-    l2_membership_probe,
     mu_left,
     mu_right,
     threshold_integral,
 )
 from friedrichs3d.vfunction import VFunction, parse_v
 
-from oracles import WATSON_I_EPS, polar_cell_integral
+from oracles import WATSON_I_EPS, l2_membership_probe, polar_cell_integral
 
 
 def test_threshold_integral_is_cached(v_one):
@@ -104,24 +103,47 @@ def test_critical_couplings_bundle(v_one):
     assert all(m is None for m in critical_couplings(9.5, v_one).mu_r)
 
 
+def _probe(v, which):
+    return l2_membership_probe(v, threshold_point(which)[2].to_array())
+
+
 def test_probe_exponent_tracks_vanishing_order(v_one, v_cos_half, v_one_minus_cos, v_product):
-    # the measured local exponent of f1 should match theta from the exact
-    # derivative test, an entirely independent route
+    # the measured local exponent of f1 should match the exact vanishing
+    # order from the derivative test, an entirely independent route
     cases = [
         (v_one, "origin", 0), (v_one, "lambda:3", 0),
         (v_cos_half, "origin", 0), (v_cos_half, "lambda:3", 1),
         (v_one_minus_cos, "origin", 2), (v_one_minus_cos, "lambda:3", 0),
         (v_product, "origin", 2), (v_product, "lambda:3", 1),
     ]
+    # higher harmonics: the shells shrink with 1/H
+    for text in (
+        "cos(2*p1)*cos(2*p2)",
+        "sin(3*p1)",
+        "sin(2*p1)*sin(2*p2)*sin(2*p3)",
+        "sin(4*p1)*cos(p2)",
+        "1 + 0.5*cos(3*p1) + 0.3*sin(3*p2)",
+    ):
+        v = parse_v(text)
+        for point in ("origin", "lambda:1", "lambda:5"):
+            pt = threshold_point(point)[2]
+            cases.append((v, point, v.vanishing_order(pt) if abs(v(pt)) < 1e-12 else 0))
     for v, point, theta in cases:
-        exponent, in_l2 = l2_membership_probe(v, point)
-        assert exponent == pytest.approx(theta, abs=0.05)
+        exponent, in_l2 = _probe(v, point)
+        assert exponent == pytest.approx(theta, abs=0.05), (v, point)
         assert in_l2 == (theta >= 1)
 
 
 def test_probe_rejects_zero_coupling():
-    with pytest.raises(ZeroCoupling):
-        l2_membership_probe(VFunction.zero(), "origin")
+    with pytest.raises(ValueError):
+        _probe(VFunction.zero(), "origin")
+
+
+def test_probe_refuses_high_orders():
+    # outside the probe's domain: at order 6 the expanded sum for v is
+    # round-off on the inner shells, and the fit refuses
+    with pytest.raises(RuntimeError, match="residual"):
+        _probe(parse_v("(1-cos(p1))*(1-cos(p2))*(1-cos(p3))"), "origin")
 
 
 def test_classification_verdicts(v_one, v_one_minus_cos):
@@ -130,6 +152,7 @@ def test_classification_verdicts(v_one, v_one_minus_cos):
     report = classify_threshold(ModelParams(gamma=gamma, mu=mu_c), v_one, "origin")
     assert report.verdict == "virtual_level"
     assert not report.in_l2
+    assert report.local_exponent == 0.0
     report = classify_threshold(ModelParams(gamma=gamma, mu=mu_c * 1.01), v_one, "origin")
     assert report.verdict == "none"
 
@@ -137,8 +160,17 @@ def test_classification_verdicts(v_one, v_one_minus_cos):
     report = classify_threshold(ModelParams(gamma=gamma, mu=mu_c), v_one_minus_cos, "origin")
     assert report.verdict == "eigenvalue"
     assert report.in_l2
+    assert report.local_exponent == 2.0
     assert report.f0 == 1.0
     assert len(report.f1_samples) == 100
+
+
+def test_classification_refuses_a_v_that_is_zero_to_round_off():
+    # nonzero, so it has a critical coupling, but below every vanishing test
+    v = parse_v("1e-20")
+    params = ModelParams(gamma=2.0, mu=mu_left(2.0, v))
+    with pytest.raises(ZeroCoupling, match="every order"):
+        classify_threshold(params, v, "origin")
 
 
 def test_classification_match_tolerance_boundary(v_one):

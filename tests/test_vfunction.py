@@ -84,6 +84,10 @@ def test_vanishing_orders_at_thresholds():
     prod = parse_v("(1 - cos(p1)) * (cos(p1) + 0.5)")
     assert prod.vanishing_order(ORIGIN) == 2
     assert prod.vanishing_order(lam) == 1
+    # high orders: a nonzero v vanishes to order at most 6 * MAX_HARMONIC
+    assert parse_v("(1-cos(p1))*(1-cos(p2))*(1-cos(p3))").vanishing_order(ORIGIN) == 6
+    assert parse_v("sin(p1)*sin(p1)*sin(p2)*sin(p2)*sin(p3)*sin(p3)").vanishing_order(ORIGIN) == 6
+    assert parse_v("(1-cos(p1))*(1-cos(p1))*(1-cos(p2))*(1-cos(p2))").vanishing_order(ORIGIN) == 8
     assert VFunction.zero().vanishing_order(ORIGIN) is None
 
 
