@@ -4,7 +4,7 @@ Every run emits a single report (JSON by default, CSV for tabular
 output) that embeds the fully resolved configuration; rerunning with
 `--config <report.json>` reproduces the report byte for byte.  Exit
 codes: 0 success, 2 invalid input or out-of-domain request, 3 numerical
-quality failure (non-convergence, unstable fit, oracle disagreement).
+quality failure (non-convergence, oracle disagreement).
 """
 
 from __future__ import annotations
@@ -54,7 +54,11 @@ _NUMERICAL_ERRORS = RuntimeError
 
 @dataclasses.dataclass
 class RunConfig:
-    """Fully resolved run parameters, embedded in every report."""
+    """Fully resolved run parameters, embedded in every report.
+
+    Every field but `v_terms` is an option of the argv parser, which owns
+    the defaults; `v_terms` records the parsed coupling.
+    """
 
     command: str
     gamma: float | None = None
@@ -74,21 +78,12 @@ class RunConfig:
     output: str | None = None
 
     def coupling(self) -> VFunction:
-        if self.v_terms is not None:
-            return VFunction.from_terms(self.v_terms)
-        fn = parse_v(self.v if self.v is not None else "1")
+        fn = parse_v(self.v)
         self.v_terms = fn.to_terms()
         return fn
 
     def model(self) -> ModelParams:
-        if self.gamma is None or self.mu is None:
-            raise ValueError("this command needs both --gamma and --mu")
         return ModelParams(gamma=self.gamma, mu=self.mu)
-
-    def torus_k(self) -> TorusPoint:
-        if self.k is None:
-            raise ValueError("this command needs --k")
-        return TorusPoint(self.k)
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)
@@ -96,16 +91,6 @@ class RunConfig:
         # it out makes --config reruns byte-identical wherever they are sent
         data["output"] = None
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - fields
-        if unknown:
-            raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
-        if "command" not in data:
-            raise ValueError("config is missing the command")
-        return cls(**data)
 
 
 def _parse_k(text: str) -> list:
@@ -139,10 +124,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # top-level --output/--format parsed before the subcommand name.
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--output", default=argparse.SUPPRESS, help="write the report to this path")
+    common.add_argument("--v", default="1", help="coupling function, e.g. '1 - 0.5*cos(p1)'")
 
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--gamma", type=float, required=True)
-    model.add_argument("--v", default="1", help="coupling function, e.g. '1 - 0.5*cos(p1)'")
 
     top = argparse.ArgumentParser(
         prog="friedrichs3d",
@@ -168,7 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True, help="'origin' or 'lambda:<i>'")
 
     p = sub.add_parser("scan-gamma", parents=[common], help="coupling crossover scan")
-    p.add_argument("--v", default="1", help="coupling function, e.g. '1 - 0.5*cos(p1)'")
     p.add_argument("--i", type=int, default=1, help="Lambda index for the upper coupling")
     p.add_argument("--gamma-min", type=float, required=True)
     p.add_argument("--gamma-max", type=float, required=True)
@@ -184,32 +168,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "gamma",
-        "mu",
-        "v",
-        "k",
-        "point",
-        "i",
-        "resolution",
-        "gamma_min",
-        "gamma_max",
-        "samples",
-        "grids",
-        "tol",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "format", None):
-        cfg.format = args.format
-    if getattr(args, "output", None):
-        cfg.output = args.output
-    return cfg
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    return RunConfig(**{n: getattr(args, n) for n in names if getattr(args, n, None) is not None})
+
+
+def _flag_text(value) -> str:
+    """A config value as argv text: lists comma-joined, strings as they are."""
+    if isinstance(value, list):
+        return ",".join(map(_flag_text, value))
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _load_config(path: str):
+    """The config embedded in a report at `path`, and the argv it stands for."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    config = payload.get("config", payload) if isinstance(payload, dict) else payload
+    if not isinstance(config, dict) or "command" not in config:
+        raise ValueError("expected a report or a config object with a command")
+    unknown = set(config) - {f.name for f in dataclasses.fields(RunConfig)}
+    if unknown:
+        raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
+    argv = [_flag_text(config["command"])] + [
+        "--%s=%s" % (key.replace("_", "-"), _flag_text(value))
+        for key, value in config.items()
+        if key not in ("command", "v_terms") and value is not None
+    ]
+    return config, argv
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (results, diagnostics, exit_code)
+# command implementations: each returns (results, diagnostics, exit_code,
+# table), table a (header, rows) pair for CSV output or None for key,value
 # ---------------------------------------------------------------------------
 
 
@@ -217,10 +207,9 @@ def _point_list(p: TorusPoint) -> list:
     return [float(c) for c in p.coords]
 
 
-def _cmd_spectrum(cfg: RunConfig):
+def _cmd_spectrum(cfg: RunConfig, v: VFunction):
     params = cfg.model()
-    v = cfg.coupling()
-    k = cfg.torus_k()
+    k = TorusPoint(cfg.k)
     window = find_discrete_spectrum(params, v, k)
 
     residuals = {}
@@ -247,7 +236,7 @@ def _cmd_spectrum(cfg: RunConfig):
         "eigen_above": window.eigen_above,
     }
     diagnostics = {"residuals": residuals, "quadrature_refinements": refinements}
-    return results, diagnostics, 0
+    return results, diagnostics, 0, None
 
 
 def _branch_summary(structure, side):
@@ -265,11 +254,8 @@ def _branch_summary(structure, side):
     }
 
 
-def _cmd_bands(cfg: RunConfig):
-    params = cfg.model()
-    v = cfg.coupling()
-    resolution = cfg.resolution if cfg.resolution is not None else 8
-    structure = assemble_bands(params, v, resolution)
+def _cmd_bands(cfg: RunConfig, v: VFunction):
+    structure = assemble_bands(cfg.model(), v, cfg.resolution)
     results = {
         "intervals": [[a, b] for a, b in structure.intervals],
         "interval_count": len(structure.intervals),
@@ -281,13 +267,12 @@ def _cmd_bands(cfg: RunConfig):
         "n_fibers_solved": len(structure.eigen_branches),
         "root_iterations": structure.root_iterations,
     }
-    return results, diagnostics, 0, structure
+    header = "k1,k2,k3,m,M,eigen_below,eigen_above"
+    rows = [[*w.k.coords, w.m, w.M, w.eigen_below, w.eigen_above] for w in structure.eigen_branches]
+    return results, diagnostics, 0, (header, rows)
 
 
-def _cmd_critical(cfg: RunConfig):
-    if cfg.gamma is None:
-        raise ValueError("critical needs --gamma")
-    v = cfg.coupling()
+def _cmd_critical(cfg: RunConfig, v: VFunction):
     cc = critical_couplings(cfg.gamma, v)
     results = {
         "gamma": cc.gamma,
@@ -297,14 +282,11 @@ def _cmd_critical(cfg: RunConfig):
     }
     points = ["origin"] + ["lambda:%d" % i for i in range(1, 9)]
     diagnostics = {"threshold_integrals": {p: threshold_integral(v, p) for p in points}}
-    return results, diagnostics, 0
+    return results, diagnostics, 0, None
 
 
-def _cmd_classify(cfg: RunConfig):
+def _cmd_classify(cfg: RunConfig, v: VFunction):
     params = cfg.model()
-    v = cfg.coupling()
-    if cfg.point is None:
-        raise ValueError("classify needs --point")
     report = classify_threshold(params, v, cfg.point)
     results = {
         "point": report.point,
@@ -319,18 +301,13 @@ def _cmd_classify(cfg: RunConfig):
     diagnostics = {
         "residuals": {"eigensystem_first": abs(fredholm_delta_threshold(params, v, cfg.point))}
     }
-    return results, diagnostics, 0
+    return results, diagnostics, 0, None
 
 
-def _cmd_scan_gamma(cfg: RunConfig):
-    v = cfg.coupling()
-    i = cfg.i if cfg.i is not None else 1
-    lo, hi = cfg.gamma_min, cfg.gamma_max
-    if lo is None or hi is None:
-        raise ValueError("scan-gamma needs --gamma-min and --gamma-max")
+def _cmd_scan_gamma(cfg: RunConfig, v: VFunction):
+    i, lo, hi, samples = cfg.i, cfg.gamma_min, cfg.gamma_max, cfg.samples
     if not (0.0 < lo < hi < 9.0):
         raise ValueError("the scan window must satisfy 0 < gamma_min < gamma_max < 9")
-    samples = cfg.samples if cfg.samples is not None else 25
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
@@ -373,24 +350,22 @@ def _cmd_scan_gamma(cfg: RunConfig):
             None if crossing is None else bool(abs(crossing - star) < 1e-4)
         ),
     }
-    return results, {}, 0
+    return results, {}, 0, ("gamma,mu_left,mu_right,sign", rows)
 
 
-def _cmd_verify(cfg: RunConfig):
+def _cmd_verify(cfg: RunConfig, v: VFunction):
     params = cfg.model()
-    v = cfg.coupling()
-    k = cfg.torus_k()
-    tol = cfg.tol if cfg.tol is not None else 1e-3
+    k = TorusPoint(cfg.k)
+    tol = cfg.tol
     if not 0.0 < tol < np.inf:
         raise ValueError("verify needs a finite --tol > 0, got %r" % tol)
-    grids = cfg.grids if cfg.grids else [8, 16, 32]
 
     window = find_discrete_spectrum(params, v, k)
     target_low = window.eigen_below if window.eigen_below is not None else window.m
     target_high = window.eigen_above if window.eigen_above is not None else window.M
 
     rows = []
-    for n in sorted(grids):
+    for n in sorted(cfg.grids):
         op = discretize(params, v, k, n)
         low, high = extreme_eigenvalues(op)
         rows.append(
@@ -415,7 +390,7 @@ def _cmd_verify(cfg: RunConfig):
         "tol": tol,
         "agreement": bool(agree),
     }
-    return results, {}, 0 if agree else 3
+    return results, {}, 0 if agree else 3, None
 
 
 # ---------------------------------------------------------------------------
@@ -439,45 +414,21 @@ def _flatten(prefix: str, obj, rows):
         for idx, item in enumerate(obj):
             _flatten("%s[%d]" % (prefix, idx), item, rows)
     else:
-        rows.append((prefix, _csv_escape(obj)))
+        rows.append((prefix, obj))
 
 
-def _to_csv(report: dict, structure=None) -> str:
-    results = report["results"]
-    lines = []
-    if report["command"] == "bands" and structure is not None:
-        lines.append("k1,k2,k3,m,M,eigen_below,eigen_above")
-        for w in structure.eigen_branches:
-            lines.append(
-                ",".join(
-                    _csv_escape(x)
-                    for x in (
-                        w.k.coords[0],
-                        w.k.coords[1],
-                        w.k.coords[2],
-                        w.m,
-                        w.M,
-                        w.eigen_below,
-                        w.eigen_above,
-                    )
-                )
-            )
-    elif report["command"] == "scan-gamma":
-        lines.append("gamma,mu_left,mu_right,sign")
-        for row in results["rows"]:
-            lines.append(",".join(_csv_escape(x) for x in row))
-    else:
-        lines.append("key,value")
+def _to_csv(results: dict, table) -> str:
+    if table is None:
         rows = []
         _flatten("", results, rows)
-        for key, val in rows:
-            lines.append("%s,%s" % (key, val))
-    return "\n".join(lines) + "\n"
+        table = ("key,value", rows)
+    header, rows = table
+    return "\n".join([header] + [",".join(map(_csv_escape, row)) for row in rows]) + "\n"
 
 
-def _emit(report: dict, cfg: RunConfig, structure=None) -> None:
+def _emit(report: dict, cfg: RunConfig, table) -> None:
     if cfg.format == "csv":
-        text = _to_csv(report, structure)
+        text = _to_csv(report["results"], table)
     else:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if cfg.output:
@@ -501,32 +452,34 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
+    config = {}
     if args.config:
+        if args.command is not None:
+            parser.error("--config reruns a report and takes no command")
         try:
-            with open(args.config) as fh:
-                payload = json.load(fh)
-            data = payload.get("config", payload)
-            cfg = RunConfig.from_dict(data)
-        except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+            config, config_argv = _load_config(args.config)
+        except (OSError, ValueError) as exc:
             print("error: cannot load config: %s" % exc, file=sys.stderr)
             return 2
-        if args.output is not None:
-            cfg.output = args.output
-        if args.format is not None:
-            cfg.format = args.format
+        # bad values exit 2 here, as they do on the command line
+        cfg = _config_from_args(parser.parse_args(config_argv))
     elif args.command is None:
         parser.print_usage(sys.stderr)
         return 2
     else:
         cfg = _config_from_args(args)
 
-    handler = _HANDLERS.get(cfg.command)
-    if handler is None:
-        print("error: unknown command %r" % cfg.command, file=sys.stderr)
-        return 2
-
     try:
-        out = handler(cfg)
+        v = cfg.coupling()
+        for key, value in config.items():
+            # a config reruns only as itself: "0.5" for mu, or v_terms
+            # that are not the parse of v, would not
+            if value is not None and value != getattr(cfg, key):
+                raise ValueError(
+                    "config %s=%s does not rerun as itself (it parses to %s)"
+                    % (key, json.dumps(value), json.dumps(getattr(cfg, key)))
+                )
+        results, diagnostics, code, table = _HANDLERS[cfg.command](cfg, v)
     except _NUMERICAL_ERRORS as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
@@ -534,12 +487,11 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
-    structure = None
-    if len(out) == 4:
-        results, diagnostics, code, structure = out
-    else:
-        results, diagnostics, code = out
-
+    # --output and --format given beside --config override the config's own
+    if args.output is not None:
+        cfg.output = args.output
+    if args.format is not None:
+        cfg.format = args.format
     report = {
         "tool": "friedrichs3d",
         "version": __version__,
@@ -548,7 +500,7 @@ def main(argv=None) -> int:
         "results": results,
         "diagnostics": diagnostics,
     }
-    _emit(report, cfg, structure)
+    _emit(report, cfg, table)
     return code
 
 

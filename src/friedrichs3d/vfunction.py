@@ -118,10 +118,6 @@ class VFunction:
         m[axis] = int(n)
         return cls([(tuple(m), coeff)])
 
-    @classmethod
-    def from_expression(cls, text: str) -> "VFunction":
-        return parse_v(text)
-
     # ---- basic queries -------------------------------------------------
 
     @property
@@ -218,26 +214,31 @@ class VFunction:
     def vanishing_order(self, point):
         """Smallest q with some order-q partial nonzero at `point`; None iff v = 0.
 
-        Uses exact derivatives, so the answer is free of finite differencing.
-        In u_j = e^{i p_j}, (u1 u2 u3)^4 v is a polynomial of degree <= 8 per
-        variable, so a nonzero v vanishes to order at most 24.
+        Uses exact derivatives, so the answer is free of finite differencing:
+        with v = sum_n c_n e^{i n.p}, the order-q partial d^alpha v(p) is
+        i^q sum_n c_n n^alpha e^{i n.p}.  In u_j = e^{i p_j}, (u1 u2 u3)^4 v
+        is a polynomial of degree <= 8 per variable, so a nonzero v vanishes
+        to order at most 24.
         """
         coords = point.coords if hasattr(point, "coords") else tuple(np.asarray(point, float))
-        level = {(0, 0, 0): self}
+        coeffs = _exp_coeffs_cached(self)
+        if not coeffs:
+            return None
+        modes = np.array([n for n, _ in coeffs], dtype=float)
+        # one row per alpha with |alpha| = q, holding c_n e^{i n.point} n^alpha;
+        # the rows with alpha1 = 0 come last, and among them (0, 0, q)
+        rows = (np.array([c for _, c in coeffs]) * np.exp(1j * (modes @ np.asarray(coords))))[None]
+        no_1 = no_12 = rows
+        bound = self._coefficient_bound()
         for q in range(6 * MAX_HARMONIC + 1):
-            scale = max(1.0, self._coefficient_bound() * MAX_HARMONIC ** q)
-            for fn in level.values():
-                if abs(fn.evaluate(*coords)) > 1e-9 * scale:
-                    return q
-            nxt = {}
-            for alpha, fn in level.items():
-                for axis in range(3):
-                    beta = list(alpha)
-                    beta[axis] += 1
-                    beta = tuple(beta)
-                    if beta not in nxt:
-                        nxt[beta] = fn.derivative(axis)
-            level = nxt
+            if q:
+                no_12 = no_12 * modes[:, 2]
+                no_1 = np.vstack([no_1 * modes[:, 1], no_12])
+                rows = np.vstack([rows * modes[:, 0], no_1])
+            # the row sums are d^alpha v(point) / i^q
+            scale = max(1.0, bound * MAX_HARMONIC ** q)
+            if np.max(np.abs(rows.sum(axis=1))) > 1e-9 * scale:
+                return q
         return None
 
     # ---- spectral data ---------------------------------------------------

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from friedrichs3d import quadrature
-from friedrichs3d.cli import RunConfig
 from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
 from friedrichs3d.lattice import TorusPoint
 from friedrichs3d.vfunction import parse_v
@@ -302,10 +303,51 @@ def _readme_commands():
 
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
-def test_readme_commands_run(run_cli, argv):
-    code, out, err = run_cli(*argv)
+def test_readme_commands_run(run_cli, tmp_path, argv):
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    code, _, err = run_cli(*argv, "--output", str(first))
     assert code == 0, err
-    assert json.loads(out)["command"] == argv[0]
+    assert json.loads(first.read_text())["command"] == argv[0]
+    # and its report reruns byte for byte
+    code, _, err = run_cli("--config", str(first), "--output", str(second))
+    assert code == 0, err
+    assert filecmp.cmp(first, second, shallow=False)
+
+
+_SPECTRUM = {"command": "spectrum", "gamma": -2.0, "mu": 0.6, "k": [0.5, 0.1, -0.8]}
+
+# malformed configs: each exits 2, as bad argv does
+_BAD_CONFIGS = {
+    "v_terms_not_the_parse_of_v": dict(_SPECTRUM, v="1", v_terms=[[[1, 0, 0], 1.0]]),
+    "string_mu": {"command": "bands", "gamma": 6.0, "mu": "0.5", "resolution": 4},
+    "fractional_samples": {"command": "scan-gamma", "gamma_min": 0.5, "gamma_max": 8.5, "samples": 2.5},
+    "string_tol": dict(_SPECTRUM, command="verify", tol="abc"),
+    "string_gamma": {"command": "critical", "gamma": "2"},
+    "unknown_format": {"command": "critical", "gamma": 2.0, "format": "xml"},
+    "mu_on_critical": {"command": "critical", "gamma": 2.0, "mu": 0.5},
+    "missing_k": {"command": "spectrum", "gamma": -2.0, "mu": 0.6},
+    "scalar_grids": dict(_SPECTRUM, command="verify", grids=8),
+    "unknown_command": {"command": "zzz"},
+    "json_list": [_SPECTRUM],
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_CONFIGS))
+def test_malformed_config_exits_two(run_cli, tmp_path, name):
+    config = tmp_path / "report.json"
+    config.write_text(json.dumps(_BAD_CONFIGS[name]))
+    code, out, err = run_cli("--config", str(config))
+    assert code == 2
+    assert err.strip() and out == ""
+
+
+def test_config_takes_no_command(run_cli, tmp_path):
+    config = tmp_path / "report.json"
+    config.write_text(json.dumps({"config": {"command": "critical", "gamma": 2.0}}))
+    code, out, err = run_cli("--config", str(config), "critical", "--gamma", "3")
+    assert code == 2
+    assert "--config" in err and out == ""
 
 
 def test_config_file_rejects_unknown_keys(run_cli, tmp_path):
@@ -344,9 +386,28 @@ def test_output_flag_before_subcommand_still_writes_file(run_cli, tmp_path):
     assert json.loads(target.read_text())["results"]["interval_count"] == 1
 
 
-def test_runconfig_round_trip_preserves_v_terms():
-    cfg = RunConfig(command="critical", gamma=1.0, v="1 - cos(p1)")
-    cfg.coupling()
-    data = cfg.to_dict()
-    clone = RunConfig.from_dict(data)
-    assert clone.coupling() == cfg.coupling()
+def test_report_v_terms_are_the_parse_of_v(run_cli, tmp_path):
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    code, _, err = run_cli("critical", "--gamma", "1", "--v", "1 - cos(p1)", "--output", str(first))
+    assert code == 0, err
+    config = json.loads(first.read_text())["config"]
+    assert config["v_terms"] == parse_v("1 - cos(p1)").to_terms()
+    code, _, err = run_cli("--config", str(first), "--output", str(second))
+    assert code == 0, err
+    assert filecmp.cmp(first, second, shallow=False)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gamma=st.floats(allow_nan=False, allow_infinity=False))
+@example(gamma=-0.0)
+@example(gamma=5e-324)
+@example(gamma=-2.2250738585072014e-308)
+def test_critical_report_reruns_byte_identically(run_cli, tmp_path, gamma):
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    code, _, err = run_cli("critical", "--gamma=%r" % gamma, "--output", str(first))
+    assert code == 0, err
+    code, _, err = run_cli("--config", str(first), "--output", str(second))
+    assert code == 0, err
+    assert filecmp.cmp(first, second, shallow=False)

@@ -88,6 +88,10 @@ def test_vanishing_orders_at_thresholds():
     assert parse_v("(1-cos(p1))*(1-cos(p2))*(1-cos(p3))").vanishing_order(ORIGIN) == 6
     assert parse_v("sin(p1)*sin(p1)*sin(p2)*sin(p2)*sin(p3)*sin(p3)").vanishing_order(ORIGIN) == 6
     assert parse_v("(1-cos(p1))*(1-cos(p1))*(1-cos(p2))*(1-cos(p2))").vanishing_order(ORIGIN) == 8
+    # the maximal order: (1 - cos p_j)^4 on every axis
+    maximal = parse_v("*".join("(1-cos(p%d))" % (j // 4 + 1) for j in range(12)))
+    assert maximal.vanishing_order(ORIGIN) == 6 * MAX_HARMONIC
+    assert maximal.vanishing_order(lam) == 0
     assert VFunction.zero().vanishing_order(ORIGIN) is None
 
 
