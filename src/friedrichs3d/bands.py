@@ -17,13 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determinant import ModelParams, _solve_fibers
-from .lattice import ORIGIN, PI_POINT, TWO_PI, TorusPoint, lambda_points
+from .lattice import ORIGIN, PI_POINT, TWO_PI, lambda_points, reduce_coords
 from .vfunction import VFunction
 
 __all__ = ["BandStructure", "ESSENTIAL_BAND", "assemble_bands", "branch_extrema"]
 
 ESSENTIAL_BAND = (0.0, 13.5)
 _MERGE_TOL = 1e-6
+# a momentum within this many grid steps of a node is that node
+_ON_GRID_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,43 @@ def _merge_intervals(intervals, tol=_MERGE_TOL):
     return tuple((a, b) for a, b in out)
 
 
-def _distinguished_points():
-    return (ORIGIN, PI_POINT) + tuple(lambda_points())
+def _sample_points(resolution: int) -> np.ndarray:
+    """The cell-centered resolution^3 grid plus the ten distinguished momenta.
+
+    The grid comes first, in row-major (k1, k2, k3) index order.  A
+    distinguished point that lies on the grid replaces its node under its
+    exact coordinates; every other one is appended.
+    """
+    h = TWO_PI / resolution
+    g = -np.pi + (np.arange(resolution) + 0.5) * h
+    points = reduce_coords(np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3))
+    extra = []
+    for p in (ORIGIN, PI_POINT) + lambda_points():
+        index = (p.to_array() + np.pi) / h - 0.5
+        node = np.rint(index)
+        if np.all(np.abs(index - node) < _ON_GRID_TOL):
+            i, j, l = node.astype(int) % resolution
+            points[(i * resolution + j) * resolution + l] = p.coords
+        else:
+            extra.append(p.coords)
+    return np.vstack([points, extra]) if extra else points
+
+
+def _refinement_points(has: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
+    """Quarter points of every grid link where a branch appears or disappears.
+
+    `has` is the (n, n, n, 2) existence below and above at the n^3 grid
+    nodes `points`.  A link joins a node to its successor along one axis;
+    the last node's successor is the first (the periodic wrap link).
+    """
+    shifts = np.array([0.25, 0.5, 0.75]) * h
+    out = []
+    for axis in range(3):
+        flipped = np.any(has != np.roll(has, -1, axis=axis), axis=-1).ravel()
+        step = np.zeros((3, 3))
+        step[:, axis] = shifts
+        out.append((points[flipped][:, None, :] + step).reshape(-1, 3))
+    return reduce_coords(np.vstack(out))
 
 
 def assemble_bands(
@@ -70,52 +107,26 @@ def assemble_bands(
 
     Uses a cell-centered resolution^3 grid augmented with the ten
     distinguished momenta (origin, the pi corner, the eight Lambda
-    points), then refines once, at quarter spacing, across grid links
-    where a branch appears or disappears (detachment crossings).  The
+    points), each solved once: where one lies on the grid it takes the
+    place of its node.  Then refines once, at quarter spacing, across every
+    grid link where a branch appears or disappears (detachment crossings),
+    the periodic wrap links included; links are found by grid index.  The
     merged interval list always contains the essential band [0, 27/2].
     Each pass solves all its fibers together, one band edge at a time.
     """
     if not (isinstance(resolution, int) and resolution >= 2):
         raise ValueError("resolution must be an integer >= 2")
 
-    g = -np.pi + (np.arange(resolution) + 0.5) * (TWO_PI / resolution)
-    grid_pts = [
-        TorusPoint(a, b, c) for a in g for b in g for c in g
-    ]
-    extra = list(_distinguished_points())
-    points = grid_pts + [p for p in extra if p not in set(grid_pts)]
-
+    n = resolution
+    points = _sample_points(n)
     windows, iterations = _solve_fibers(params, v, points)
-    by_point = {w.k: w for w in windows}
-
-    # one local refinement pass: where existence flips across an axis link,
-    # insert quarter-spaced points along that link
-    h = TWO_PI / resolution
-    refine = set()
-    for p in grid_pts:
-        w = by_point[p]
-        for axis in range(3):
-            step = [0.0, 0.0, 0.0]
-            step[axis] = h
-            q = p + step
-            wq = by_point.get(q)
-            if wq is None:
-                continue
-            for side in ("below", "above"):
-                has_p = getattr(w, "eigen_" + side) is not None
-                has_q = getattr(wq, "eigen_" + side) is not None
-                if has_p != has_q:
-                    for frac in (0.25, 0.5, 0.75):
-                        move = [0.0, 0.0, 0.0]
-                        move[axis] = frac * h
-                        refine.add(p + move)
-    new_pts = [p for p in sorted(refine, key=lambda t: t.coords) if p not in by_point]
-    refined, more = _solve_fibers(params, v, new_pts)
+    has = np.array(
+        [(w.eigen_below is not None, w.eigen_above is not None) for w in windows[: n ** 3]]
+    ).reshape(n, n, n, 2)
+    refined, more = _solve_fibers(params, v, _refinement_points(has, points[: n ** 3], TWO_PI / n))
     iterations += more
-    for w in refined:
-        by_point[w.k] = w
 
-    branches = tuple(sorted(by_point.values(), key=lambda w: w.k.coords))
+    branches = tuple(sorted(windows + refined, key=lambda w: w.k.coords))
     intervals = [ESSENTIAL_BAND]
     for side in ("below", "above"):
         vals = [getattr(w, "eigen_" + side) for w in branches]

@@ -41,9 +41,7 @@ def reduce_coords(x):
 class TorusPoint:
     """A point of the momentum torus, stored reduced to (-pi, pi]^3.
 
-    Immutable and hashable so points can serve as cache keys.  Arithmetic
-    returns new reduced points; `distance` is the geodesic (reduced
-    Euclidean) metric.
+    Immutable and hashable so points can serve as cache keys.
     """
 
     __slots__ = ("coords",)
@@ -75,24 +73,6 @@ class TorusPoint:
     def __len__(self):
         return 3
 
-    def __add__(self, other):
-        return TorusPoint(self.to_array() + _coords_of(other))
-
-    def __sub__(self, other):
-        return TorusPoint(self.to_array() - _coords_of(other))
-
-    def __neg__(self):
-        return TorusPoint(-self.to_array())
-
-    def __mul__(self, scalar):
-        return TorusPoint(self.to_array() * float(scalar))
-
-    __rmul__ = __mul__
-
-    def distance(self, other) -> float:
-        d = reduce_coords(self.to_array() - _coords_of(other))
-        return float(np.sqrt(np.sum(d * d)))
-
     def __eq__(self, other):
         if not isinstance(other, TorusPoint):
             return NotImplemented
@@ -120,10 +100,7 @@ PI_POINT = TorusPoint(np.pi, np.pi, np.pi)
 
 def epsilon(k):
     """Dispersion eps(k) = sum_j (1 - cos k_j); accepts TorusPoint or array (...,3)."""
-    if isinstance(k, TorusPoint):
-        return float(sum(1.0 - np.cos(c) for c in k.coords))
-    arr = np.asarray(k, dtype=float)
-    return np.sum(1.0 - np.cos(arr), axis=-1)
+    return np.sum(1.0 - np.cos(np.asarray(k, dtype=float)), axis=-1)
 
 
 def w0(k, gamma: float):
@@ -155,19 +132,12 @@ def band_endpoints(k):
 
     With c_j = cos(k_j/2) >= 0 on canonical representatives,
     m(k) = eps(k) + sum_j 2(1 - c_j) and M(k) = eps(k) + sum_j 2(1 + c_j).
-    Accepts a TorusPoint or an array of shape (..., 3); returns floats or
-    arrays accordingly.
+    Accepts a TorusPoint or an array of shape (..., 3), which is reduced
+    first; returns floats or arrays accordingly.
     """
-    if isinstance(k, TorusPoint):
-        kc = k.to_array()
-        c = np.cos(kc / 2.0)
-        ek = float(np.sum(1.0 - np.cos(kc)))
-        lo = ek + float(np.sum(2.0 * (1.0 - c)))
-        hi = ek + float(np.sum(2.0 * (1.0 + c)))
-        return lo, hi
-    arr = reduce_coords(np.asarray(k, dtype=float))
-    c = np.cos(arr / 2.0)
-    ek = np.sum(1.0 - np.cos(arr), axis=-1)
+    kc = k.to_array() if isinstance(k, TorusPoint) else reduce_coords(np.asarray(k, dtype=float))
+    c = np.cos(kc / 2.0)
+    ek = epsilon(kc)
     lo = ek + np.sum(2.0 * (1.0 - c), axis=-1)
     hi = ek + np.sum(2.0 * (1.0 + c), axis=-1)
     return lo, hi

@@ -117,7 +117,8 @@ def _mu_critical(gamma: float, v: VFunction, which: str) -> float:
     _, j = _threshold_terms(v, which)
     if not sign * j > 0.0:
         raise ZeroCoupling("the %s threshold integral vanishes; no critical coupling" % side)
-    return math.sqrt((gamma - g0) / j)
+    # the signs agree (checked above); a quotient of roots does not underflow
+    return math.sqrt(abs(gamma - g0)) / math.sqrt(abs(j))
 
 
 def mu_left(gamma: float, v: VFunction) -> float:

@@ -191,26 +191,6 @@ class VFunction:
 
     # ---- calculus --------------------------------------------------------
 
-    def derivative(self, axis: int) -> "VFunction":
-        """Exact partial derivative along the given axis (0, 1 or 2)."""
-        if axis not in (0, 1, 2):
-            raise ValueError("axis must be 0, 1 or 2")
-        out = []
-        for m, c in self.terms:
-            n = m[axis]
-            if n == 0:
-                continue
-            new = list(m)
-            if n > 0:
-                # (cos n x)' = -n sin(n x)
-                new[axis] = -n
-                out.append((tuple(new), -n * c))
-            else:
-                # (sin n x)' = n cos(n x) with n = |m|
-                new[axis] = -n
-                out.append((tuple(new), -n * c))
-        return VFunction(out)
-
     def vanishing_order(self, point):
         """Smallest q with some order-q partial nonzero at `point`; None iff v = 0.
 
@@ -255,10 +235,6 @@ class VFunction:
 
     def to_terms(self):
         return [[list(m), c] for m, c in self.terms]
-
-    @classmethod
-    def from_terms(cls, data) -> "VFunction":
-        return cls([(tuple(m), c) for m, c in data])
 
     def __eq__(self, other):
         if not isinstance(other, VFunction):

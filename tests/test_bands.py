@@ -3,7 +3,8 @@ import pytest
 
 from friedrichs3d.bands import ESSENTIAL_BAND, BandStructure, assemble_bands, branch_extrema
 from friedrichs3d.determinant import ModelParams, SpectralWindow, find_discrete_spectrum
-from friedrichs3d.lattice import ORIGIN, PI_POINT, TorusPoint
+from friedrichs3d.lattice import ORIGIN, PI_POINT, lambda_points
+from friedrichs3d.vfunction import parse_v
 
 from oracles import pi_point_roots
 
@@ -61,6 +62,59 @@ def test_refinement_adds_points_where_branches_detach(v_one):
     ks = {w.k for w in structure.eigen_branches}
     assert len(ks) == len(structure.eigen_branches)  # no duplicate fibers
     assert 0 < len(below) < len(structure.eigen_branches)
+
+
+# both branches detach inside the torus for this v, gamma and mu
+_DETACH_V = "0.9 + 0.2*cos(p1) + 0.3*cos(2*p2) - 0.2*cos(p2)*cos(p3)"
+_DETACH = ModelParams(gamma=3.0, mu=0.1)
+
+
+def _torus_gap(points, ks):
+    """Largest per-axis torus distance from each row of `points` to its nearest row of `ks`."""
+    diff = (points[:, None, :] - ks[None, :, :] + np.pi) % (2.0 * np.pi) - np.pi
+    return np.abs(diff).max(axis=2).min(axis=1)
+
+
+@pytest.mark.parametrize("resolution", [4, 8])
+def test_every_flipped_grid_link_is_refined(resolution):
+    structure = assemble_bands(_DETACH, parse_v(_DETACH_V), resolution=resolution)
+    ks = np.array([w.k.coords for w in structure.eigen_branches])
+    h = 2.0 * np.pi / resolution
+    g = -np.pi + (np.arange(resolution) + 0.5) * h
+    nodes = np.array([(a, b, c) for a in g for b in g for c in g])
+    diff = (nodes[:, None, :] - ks[None, :, :] + np.pi) % (2.0 * np.pi) - np.pi
+    at = np.abs(diff).max(axis=2).argmin(axis=1)
+    assert np.all(_torus_gap(nodes, ks) < 1e-12)
+    has = {}
+    for (i, j, l), row in zip(np.ndindex(resolution, resolution, resolution), at):
+        w = structure.eigen_branches[row]
+        has[i, j, l] = (w.eigen_below is not None, w.eigen_above is not None)
+    expected = []
+    for (i, j, l), here in has.items():
+        for axis in range(3):
+            step = [i, j, l]
+            step[axis] = (step[axis] + 1) % resolution  # the last link wraps to the first node
+            if has[tuple(step)] != here:
+                origin = np.array([g[i], g[j], g[l]])
+                for frac in (0.25, 0.5, 0.75):
+                    point = origin.copy()
+                    point[axis] += frac * h
+                    expected.append(point)
+    assert expected  # existence flips somewhere on the grid
+    assert np.all(_torus_gap(np.array(expected), ks) < 1e-12)
+    # the refined fibers are exactly those quarter points
+    assert len(ks) == resolution ** 3 + 10 + len(expected)
+
+
+@pytest.mark.parametrize("resolution", [3, 9])
+def test_each_fiber_is_solved_once(resolution):
+    structure = assemble_bands(_DETACH, parse_v(_DETACH_V), resolution=resolution)
+    ks = np.array([w.k.coords for w in structure.eigen_branches])
+    for i in range(len(ks) - 1):
+        assert _torus_gap(ks[i : i + 1], ks[i + 1 :])[0] > 1e-9
+    # at these resolutions every Lambda point is a grid node
+    for point in (ORIGIN, PI_POINT) + lambda_points():
+        assert sum(w.k == point for w in structure.eigen_branches) == 1
 
 
 def test_batched_fibers_match_single_fiber_solves(v_cos_half):

@@ -75,6 +75,16 @@ def test_defining_identities_hold(v_cos_half):
     assert mu_right(gamma, 7, v_cos_half) ** 2 * i_max == pytest.approx(9.0 - gamma, abs=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [5e-324, 2.2250738585072014e-308])
+def test_left_coupling_survives_subnormal_gamma(v_one, gamma):
+    # mu_l^2 j = gamma with j = I_min/2; mu_l^2 itself underflows, so
+    # compare mu_l sqrt(j) with sqrt(gamma)
+    mu = mu_left(gamma, v_one)
+    assert mu > 0.0
+    j = 0.5 * threshold_integral(v_one, "origin")
+    assert mu * np.sqrt(j) == pytest.approx(np.sqrt(gamma), rel=1e-12)
+
+
 def test_eightfold_symmetry_of_right_couplings(v_one, v_one_minus_cos):
     for v in (v_one, v_one_minus_cos):
         vals = [mu_right(4.0, i, v) for i in range(1, 9)]

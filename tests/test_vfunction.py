@@ -58,21 +58,6 @@ def test_algebra_matches_numeric_composition(rng):
         assert (2.0 * a)(p) == pytest.approx(2.0 * a(p), abs=1e-12)
 
 
-def test_derivative_matches_finite_differences(rng):
-    v = parse_v("cos(2*p1) * sin(p2) + 0.7 * cos(p3)")
-    h = 1e-6
-    q = _random_points(rng, 10)
-    for axis in range(3):
-        dv = v.derivative(axis)
-        for row in q:
-            plus = row.copy()
-            minus = row.copy()
-            plus[axis] += h
-            minus[axis] -= h
-            fd = (v(TorusPoint(plus)) - v(TorusPoint(minus))) / (2.0 * h)
-            assert dv(TorusPoint(row)) == pytest.approx(fd, abs=5e-9)
-
-
 def test_vanishing_orders_at_thresholds():
     lam = lambda_point(2)
     assert parse_v("1").vanishing_order(ORIGIN) == 0
@@ -142,7 +127,7 @@ def test_parser_rejects_malformed_input(bad):
 
 def test_round_trip_serialization():
     v = parse_v("0.5 - cos(p1) * sin(p3)")
-    w = VFunction.from_terms(v.to_terms())
+    w = VFunction([(tuple(m), c) for m, c in v.to_terms()])
     assert v == w and hash(v) == hash(w)
     assert (v - w).is_zero
 
