@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from friedrichs3d import ORIGIN, PI_POINT, TorusPoint, band_endpoints, lambda_point
+from friedrichs3d import ORIGIN, PI_POINT, band_endpoints, lambda_point, reduce_coords
 
 
 def main():
@@ -24,13 +24,13 @@ def main():
 
     print("%-28s %12s %12s %12s" % ("k", "m(k)", "M(k)", "width"))
     for (name0, p0), (name1, p1) in zip(anchors[:-1], anchors[1:]):
-        a = p0.to_array()
-        b = p1.to_array()
+        a = np.array(p0)
+        b = np.array(p1)
         for t in np.linspace(0.0, 1.0, args.steps, endpoint=False):
-            k = TorusPoint(a + t * (b - a))
+            k = reduce_coords(a + t * (b - a))
             lo, hi = band_endpoints(k)
             tag = name0 if t == 0.0 else ""
-            print("%-28s %12.8f %12.8f %12.8f" % (tag or np.array2string(k.to_array(), precision=3), lo, hi, hi - lo))
+            print("%-28s %12.8f %12.8f %12.8f" % (tag or np.array2string(k, precision=3), lo, hi, hi - lo))
     lo, hi = band_endpoints(PI_POINT)
     print("%-28s %12.8f %12.8f %12.8f" % ("pi corner", lo, hi, hi - lo))
 

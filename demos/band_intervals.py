@@ -24,7 +24,7 @@ def describe(structure):
         lo, hi, arg_lo, arg_hi = ext
         print(
             "  branch %s: range [%.6f, %.6f], deepest at k = %s"
-            % (side, lo, hi, tuple(round(c, 4) for c in arg_lo.coords))
+            % (side, lo, hi, tuple(round(c, 4) for c in arg_lo))
         )
 
 

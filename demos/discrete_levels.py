@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from friedrichs3d import ModelParams, PI_POINT, TorusPoint, find_discrete_spectrum, parse_v
+from friedrichs3d import ModelParams, PI_POINT, find_discrete_spectrum, parse_v, reduce_coords
 
 
 def corner_roots(gamma: float, mu: float):
@@ -29,9 +29,9 @@ def main():
     args = ap.parse_args()
 
     v = parse_v(args.v)
-    k = TorusPoint([float(x) for x in args.k.split(",")])
+    k = reduce_coords([float(x) for x in args.k.split(",")])
 
-    print("fiber at k = %s, gamma = %g, v = %s" % (np.round(k.to_array(), 3), args.gamma, args.v))
+    print("fiber at k = %s, gamma = %g, v = %s" % (np.round(k, 3), args.gamma, args.v))
     print("%8s %14s %14s %10s %10s" % ("mu", "below", "above", "m", "M"))
     for mu in (0.01, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6):
         w = find_discrete_spectrum(ModelParams(gamma=args.gamma, mu=mu), v, k)

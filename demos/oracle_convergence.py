@@ -13,7 +13,6 @@ import numpy as np
 
 from friedrichs3d import (
     ModelParams,
-    TorusPoint,
     discretize,
     extreme_eigenvalues,
     find_discrete_spectrum,
@@ -30,7 +29,7 @@ def main():
     args = ap.parse_args()
 
     v = parse_v(args.v)
-    k = TorusPoint([float(x) for x in args.k.split(",")])
+    k = [float(x) for x in args.k.split(",")]
     params = ModelParams(gamma=args.gamma, mu=args.mu)
 
     window = find_discrete_spectrum(params, v, k)

@@ -10,7 +10,7 @@ turn into bound states, classifies threshold solutions (eigenvalue vs
 virtual level), and assembles the global band picture.
 """
 
-from .bands import ESSENTIAL_BAND, BandStructure, assemble_bands, branch_extrema
+from .bands import BRANCH_COLUMNS, ESSENTIAL_BAND, BandStructure, assemble_bands, branch_extrema
 from .determinant import (
     InsideEssentialSpectrum,
     ModelParams,
@@ -21,11 +21,11 @@ from .determinant import (
 from .lattice import (
     ORIGIN,
     PI_POINT,
-    TorusPoint,
     band_endpoints,
     epsilon,
     lambda_point,
     lambda_points,
+    reduce_coords,
     w0,
     w1,
 )
@@ -49,9 +49,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "TorusPoint",
     "ORIGIN",
     "PI_POINT",
+    "reduce_coords",
     "epsilon",
     "w0",
     "w1",
@@ -80,6 +80,7 @@ __all__ = [
     "critical_couplings",
     "classify_threshold",
     "ESSENTIAL_BAND",
+    "BRANCH_COLUMNS",
     "BandStructure",
     "assemble_bands",
     "branch_extrema",

@@ -20,39 +20,38 @@ from .determinant import ModelParams, _solve_fibers
 from .lattice import ORIGIN, PI_POINT, TWO_PI, lambda_points, reduce_coords
 from .vfunction import VFunction
 
-__all__ = ["BandStructure", "ESSENTIAL_BAND", "assemble_bands", "branch_extrema"]
+__all__ = ["BandStructure", "BRANCH_COLUMNS", "ESSENTIAL_BAND", "assemble_bands", "branch_extrema"]
 
 ESSENTIAL_BAND = (0.0, 13.5)
+# the columns of BandStructure.eigen_branches
+BRANCH_COLUMNS = ("k1", "k2", "k3", "m", "M", "eigen_below", "eigen_above")
 _MERGE_TOL = 1e-6
 # a momentum within this many grid steps of a node is that node
 _ON_GRID_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandStructure:
     """Merged spectral intervals plus the sampled eigenvalue branches.
 
-    root_iterations counts the lockstep root-solver iterations of both
-    solver passes (grid, then refinement).
+    eigen_branches is an (n, 7) float array, one row per sampled fiber in
+    lexicographic k order, with the columns BRANCH_COLUMNS: k1, k2, k3, m,
+    M, eigen_below, eigen_above; NaN marks a side without an eigenvalue.  root_iterations
+    counts the lockstep root-solver iterations of both solver passes (grid,
+    then refinement).
     """
 
     intervals: tuple
     k_grid_resolution: int
-    eigen_branches: tuple  # SpectralWindow per sampled k, deterministic order
+    eigen_branches: np.ndarray
     root_iterations: int = 0
 
-    def branch_values(self, side: str):
-        if side not in ("below", "above"):
-            raise ValueError("side must be 'below' or 'above'")
-        pick = (lambda w: w.eigen_below) if side == "below" else (lambda w: w.eigen_above)
-        return [(w.k, pick(w)) for w in self.eigen_branches if pick(w) is not None]
 
-
-def _merge_intervals(intervals, tol=_MERGE_TOL):
+def _merge_intervals(intervals):
     ivs = sorted((float(a), float(b)) for a, b in intervals)
     out = [list(ivs[0])]
     for a, b in ivs[1:]:
-        if a <= out[-1][1] + tol:
+        if a <= out[-1][1] + _MERGE_TOL:
             out[-1][1] = max(out[-1][1], b)
         else:
             out.append([a, b])
@@ -71,13 +70,13 @@ def _sample_points(resolution: int) -> np.ndarray:
     points = reduce_coords(np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3))
     extra = []
     for p in (ORIGIN, PI_POINT) + lambda_points():
-        index = (p.to_array() + np.pi) / h - 0.5
+        index = (np.array(p) + np.pi) / h - 0.5
         node = np.rint(index)
         if np.all(np.abs(index - node) < _ON_GRID_TOL):
             i, j, l = node.astype(int) % resolution
-            points[(i * resolution + j) * resolution + l] = p.coords
+            points[(i * resolution + j) * resolution + l] = p
         else:
-            extra.append(p.coords)
+            extra.append(p)
     return np.vstack([points, extra]) if extra else points
 
 
@@ -119,23 +118,21 @@ def assemble_bands(
 
     n = resolution
     points = _sample_points(n)
-    windows, iterations = _solve_fibers(params, v, points)
-    has = np.array(
-        [(w.eigen_below is not None, w.eigen_above is not None) for w in windows[: n ** 3]]
-    ).reshape(n, n, n, 2)
-    refined, more = _solve_fibers(params, v, _refinement_points(has, points[: n ** 3], TWO_PI / n))
+    rows, iterations = _solve_fibers(params, v, points)
+    has = ~np.isnan(rows[: n ** 3, 2:]).reshape(n, n, n, 2)
+    more_points = _refinement_points(has, points[: n ** 3], TWO_PI / n)
+    more_rows, more = _solve_fibers(params, v, more_points)
     iterations += more
 
-    branches = tuple(sorted(windows + refined, key=lambda w: w.k.coords))
+    branches = np.hstack([np.vstack([points, more_points]), np.vstack([rows, more_rows])])
+    branches = branches[np.lexsort(branches[:, 2::-1].T)]
     intervals = [ESSENTIAL_BAND]
-    for side in ("below", "above"):
-        vals = [getattr(w, "eigen_" + side) for w in branches]
-        vals = [z for z in vals if z is not None]
-        if vals:
-            intervals.append((min(vals), max(vals)))
-    merged = _merge_intervals(intervals)
+    for z in branches[:, 5:].T:
+        z = z[~np.isnan(z)]
+        if z.size:
+            intervals.append((z.min(), z.max()))
     return BandStructure(
-        intervals=merged,
+        intervals=_merge_intervals(intervals),
         k_grid_resolution=resolution,
         eigen_branches=branches,
         root_iterations=iterations,
@@ -143,10 +140,15 @@ def assemble_bands(
 
 
 def branch_extrema(structure: BandStructure, side: str):
-    """(min, max, argmin, argmax) of a sampled branch, or None when absent."""
-    vals = structure.branch_values(side)
-    if not vals:
+    """(min, max, argmin, argmax) of a sampled branch, or None when absent.
+
+    The arguments are momenta as 3-tuples; on a tie the first row in k order wins.
+    """
+    if side not in ("below", "above"):
+        raise ValueError("side must be 'below' or 'above'")
+    table = structure.eigen_branches
+    z = table[:, BRANCH_COLUMNS.index("eigen_" + side)]
+    if np.isnan(z).all():
         return None
-    lo = min(vals, key=lambda kv: kv[1])
-    hi = max(vals, key=lambda kv: kv[1])
-    return lo[1], hi[1], lo[0], hi[0]
+    lo, hi = np.nanargmin(z), np.nanargmax(z)
+    return float(z[lo]), float(z[hi]), tuple(table[lo, :3].tolist()), tuple(table[hi, :3].tolist())

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from functools import lru_cache
 
 import numpy as np
 
 from . import __version__
-from .bands import assemble_bands, branch_extrema
+from .bands import BRANCH_COLUMNS, assemble_bands, branch_extrema
 from .determinant import (
     EDGE_MARGIN,
     InsideEssentialSpectrum,
@@ -26,7 +27,6 @@ from .determinant import (
     find_discrete_spectrum,
     fredholm_delta,
 )
-from .lattice import TorusPoint
 from .oracle import discretize, extreme_eigenvalues
 from .thresholds import (
     DomainError,
@@ -203,14 +203,9 @@ def _load_config(path: str):
 # ---------------------------------------------------------------------------
 
 
-def _point_list(p: TorusPoint) -> list:
-    return [float(c) for c in p.coords]
-
-
 def _cmd_spectrum(cfg: RunConfig, v: VFunction):
     params = cfg.model()
-    k = TorusPoint(cfg.k)
-    window = find_discrete_spectrum(params, v, k)
+    window = find_discrete_spectrum(params, v, cfg.k)
 
     residuals = {}
     refinements = {}
@@ -220,7 +215,7 @@ def _cmd_spectrum(cfg: RunConfig, v: VFunction):
             refinements[side] = None
             continue
         try:
-            value, integral = fredholm_delta(params, v, k, root, with_diagnostics=True)
+            value, integral = fredholm_delta(params, v, window.k, root, with_diagnostics=True)
             residuals[side] = abs(value)
             refinements[side] = integral.refinements_used if integral is not None else 0
         except InsideEssentialSpectrum:
@@ -229,7 +224,7 @@ def _cmd_spectrum(cfg: RunConfig, v: VFunction):
             refinements[side] = None
 
     results = {
-        "k": _point_list(window.k),
+        "k": list(window.k),
         "m": window.m,
         "M": window.M,
         "eigen_below": window.eigen_below,
@@ -244,13 +239,13 @@ def _branch_summary(structure, side):
     if ext is None:
         return None
     lo, hi, arg_lo, arg_hi = ext
-    count = len(structure.branch_values(side))
+    z = structure.eigen_branches[:, BRANCH_COLUMNS.index("eigen_" + side)]
     return {
         "min": lo,
         "max": hi,
-        "argmin": _point_list(arg_lo),
-        "argmax": _point_list(arg_hi),
-        "n_k": count,
+        "argmin": list(arg_lo),
+        "argmax": list(arg_hi),
+        "n_k": int(np.count_nonzero(~np.isnan(z))),
     }
 
 
@@ -267,8 +262,9 @@ def _cmd_bands(cfg: RunConfig, v: VFunction):
         "n_fibers_solved": len(structure.eigen_branches),
         "root_iterations": structure.root_iterations,
     }
-    header = "k1,k2,k3,m,M,eigen_below,eigen_above"
-    rows = [[*w.k.coords, w.m, w.M, w.eigen_below, w.eigen_above] for w in structure.eigen_branches]
+    header = ",".join(BRANCH_COLUMNS)
+    # plain floats, never numpy scalars, so that every cell prints as repr(float)
+    rows = [[None if math.isnan(x) else x for x in row] for row in structure.eigen_branches.tolist()]
     return results, diagnostics, 0, (header, rows)
 
 
@@ -296,7 +292,7 @@ def _cmd_classify(cfg: RunConfig, v: VFunction):
         "local_exponent": report.local_exponent,
         "in_l2": report.in_l2,
         "f0": report.f0,
-        "f1_samples": [[_point_list(q), val] for q, val in report.f1_samples],
+        "f1_samples": [[list(q), val] for q, val in report.f1_samples],
     }
     diagnostics = {
         "residuals": {"eigensystem_first": abs(fredholm_delta_threshold(params, v, cfg.point))}
@@ -355,18 +351,17 @@ def _cmd_scan_gamma(cfg: RunConfig, v: VFunction):
 
 def _cmd_verify(cfg: RunConfig, v: VFunction):
     params = cfg.model()
-    k = TorusPoint(cfg.k)
     tol = cfg.tol
     if not 0.0 < tol < np.inf:
         raise ValueError("verify needs a finite --tol > 0, got %r" % tol)
 
-    window = find_discrete_spectrum(params, v, k)
+    window = find_discrete_spectrum(params, v, cfg.k)
     target_low = window.eigen_below if window.eigen_below is not None else window.m
     target_high = window.eigen_above if window.eigen_above is not None else window.M
 
     rows = []
     for n in sorted(cfg.grids):
-        op = discretize(params, v, k, n)
+        op = discretize(params, v, window.k, n)
         low, high = extreme_eigenvalues(op)
         rows.append(
             {
@@ -381,7 +376,7 @@ def _cmd_verify(cfg: RunConfig, v: VFunction):
     last = rows[-1]
     agree = last["err_low"] <= tol and last["err_high"] <= tol
     results = {
-        "k": _point_list(window.k),
+        "k": list(window.k),
         "m": window.m,
         "M": window.M,
         "eigen_below": window.eigen_below,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import TorusPoint, band_endpoints, w0
+from .lattice import band_endpoints, reduce_coords, w0
 from .quadrature import ResolventKernel, _KernelBatch, _Kernels, resolvent_integral_2d
 from .vfunction import VFunction
 
@@ -60,23 +60,32 @@ class ModelParams:
             raise ValueError("mu must be positive")
 
 
+def _check_windows(m, M, below, above) -> None:
+    """Raise ValueError unless m <= M, below < m and above > M, elementwise; NaN is no root."""
+    if np.any(m > M):
+        raise ValueError("band endpoints out of order")
+    if np.any(below >= m):
+        raise ValueError("eigen_below must lie strictly below the band")
+    if np.any(above <= M):
+        raise ValueError("eigen_above must lie strictly above the band")
+
+
 @dataclass(frozen=True)
 class SpectralWindow:
-    """Discrete spectrum of one fiber: band edges plus optional eigenvalues."""
+    """Discrete spectrum of one fiber: band edges plus optional eigenvalues.
 
-    k: TorusPoint
+    k is the reduced momentum, a 3-tuple of floats.
+    """
+
+    k: tuple
     m: float
     M: float
     eigen_below: float | None
     eigen_above: float | None
 
     def __post_init__(self):
-        if self.m > self.M:
-            raise ValueError("band endpoints out of order")
-        if self.eigen_below is not None and self.eigen_below >= self.m:
-            raise ValueError("eigen_below must lie strictly below the band")
-        if self.eigen_above is not None and self.eigen_above <= self.M:
-            raise ValueError("eigen_above must lie strictly above the band")
+        none_is_nan = (math.nan if z is None else z for z in (self.eigen_below, self.eigen_above))
+        _check_windows(self.m, self.M, *none_is_nan)
 
 
 def fredholm_delta(
@@ -95,7 +104,7 @@ def fredholm_delta(
     InsideEssentialSpectrum is raised.  With `with_diagnostics`, returns
     (value, IntegralResult), the result None for v = 0.
     """
-    k = k if isinstance(k, TorusPoint) else TorusPoint(k)
+    k = reduce_coords(k).reshape(3)
     z = float(z)
     lo, hi = band_endpoints(k)
     if lo - EDGE_MARGIN <= z <= hi + EDGE_MARGIN:
@@ -188,40 +197,33 @@ def _solve_rows(params: ModelParams, batch: _KernelBatch, kernels: _Kernels):
 
 
 def _solve_batch(params: ModelParams, batch: _KernelBatch, kernel_groups):
-    """Spectral windows of every fiber of a batch, plus the lockstep iterations.
+    """The (n, 4) rows m, M, root below, root above of a batch, plus the lockstep iterations.
 
-    Each item of `kernel_groups` holds kernel rows of the batch, solved in
-    lockstep; the rows of all groups together cover both edges of every
-    fiber.  A group is released before the next one is taken.
+    A missing root is NaN.  Each item of `kernel_groups` holds kernel rows
+    of the batch, solved in lockstep; the rows of all groups together cover
+    both edges of every fiber.  A group is released before the next one is
+    taken.
     """
-    roots = np.full((2, len(batch.points)), np.nan)
+    rows = np.full((batch.m.size, 4), np.nan)
+    rows[:, 0] = batch.m
+    rows[:, 1] = batch.M
     iterations = 0
     for kernels in kernel_groups:
         z, steps = _solve_rows(params, batch, kernels)
-        roots[kernels.side, kernels.fiber] = z
+        rows[kernels.fiber, 2 + kernels.side] = z
         iterations += steps
         del kernels
-    below, above = roots
-    windows = [
-        SpectralWindow(
-            k=point,
-            m=float(batch.m[i]),
-            M=float(batch.M[i]),
-            eigen_below=None if np.isnan(below[i]) else float(below[i]),
-            eigen_above=None if np.isnan(above[i]) else float(above[i]),
-        )
-        for i, point in enumerate(batch.points)
-    ]
-    return windows, iterations
+    _check_windows(*rows.T)
+    return rows, iterations
 
 
-def _solve_fibers(params: ModelParams, v: VFunction, points):
-    """Spectral windows at every momentum in `points`, plus the lockstep iteration count.
+def _solve_fibers(params: ModelParams, v: VFunction, kc: np.ndarray):
+    """The `_solve_batch` rows at every row of the reduced (n, 3) momenta `kc`, plus the iterations.
 
     The two band edges are solved one after the other, so only one edge's
     (fibers x nodes) kernel samples are held at a time.
     """
-    batch = _KernelBatch(v, points)
+    batch = _KernelBatch(v, kc)
     return _solve_batch(params, batch, (batch.kernels((side,)) for side in (0, 1)))
 
 
@@ -234,5 +236,12 @@ def find_discrete_spectrum(params: ModelParams, v: VFunction, k) -> SpectralWind
     EDGE_MARGIN of the band is reported clamped at the margin.
     """
     kernel = ResolventKernel(v, k)
-    windows, _ = _solve_batch(params, kernel._batch, [kernel._kernels])
-    return windows[0]
+    (row,), _ = _solve_batch(params, kernel._batch, [kernel._kernels])
+    m, M, below, above = row.tolist()
+    return SpectralWindow(
+        k=kernel.k,
+        m=m,
+        M=M,
+        eigen_below=None if math.isnan(below) else below,
+        eigen_above=None if math.isnan(above) else above,
+    )

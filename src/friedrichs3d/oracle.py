@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determinant import ModelParams
-from .lattice import TWO_PI, TorusPoint, w0, w1_on_grid
+from .lattice import TWO_PI, reduce_coords, w0, w1_on_grid
 from .vfunction import VFunction
 
 __all__ = ["DiscretizedOperator", "discretize", "extreme_eigenvalues"]
@@ -24,9 +24,9 @@ __all__ = ["DiscretizedOperator", "discretize", "extreme_eigenvalues"]
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedOperator:
-    """Arrowhead form of the fiber operator on an n^3 midpoint grid."""
+    """Arrowhead form of the fiber operator on an n^3 midpoint grid; k is reduced."""
 
-    k: TorusPoint
+    k: tuple
     grid_n: int
     scalar: float  # w0(k)
     diagonal: np.ndarray  # w1 at the grid nodes, length n^3
@@ -37,7 +37,7 @@ def discretize(params: ModelParams, v: VFunction, k, n: int) -> DiscretizedOpera
     """Build the arrowhead discretization on the cell-centered n^3 grid."""
     if not (isinstance(n, int) and n >= 2):
         raise ValueError("grid size n must be an integer >= 2")
-    k = k if isinstance(k, TorusPoint) else TorusPoint(k)
+    k = tuple(reduce_coords(k).reshape(3).tolist())
     g = -np.pi + (np.arange(n) + 0.5) * (TWO_PI / n)
     px = g[:, None, None]
     py = g[None, :, None]

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sc
 
-from .lattice import TWO_PI, TorusPoint, band_endpoints, epsilon
+from .lattice import TWO_PI, band_endpoints, epsilon, reduce_coords
 from .vfunction import VFunction
 
 __all__ = [
@@ -90,8 +90,7 @@ class _AuditIntegrand:
     convergence, and lam_j = 1 (a plain grid) wherever delta >= c_j.
     """
 
-    def __init__(self, v: VFunction, k: TorusPoint, side: int, delta: float):
-        kc = np.asarray(k.coords, dtype=float)
+    def __init__(self, v: VFunction, kc: np.ndarray, side: int, delta: float):
         half = np.cos(kc / 2.0)
         self.c = np.abs(half)
         self.phase = kc / 2.0 + np.where(half < 0.0, math.pi, 0.0) + side * math.pi
@@ -163,7 +162,7 @@ def resolvent_integral_2d(v: VFunction, k, z: float) -> IntegralResult:
     costs 4x the previous one.  Independent of the
     Laplace-Bessel kernel, so it audits the solver's roots.
     """
-    k = k if isinstance(k, TorusPoint) else TorusPoint(k)
+    k = reduce_coords(k).reshape(3)
     z = float(z)
     lo, hi = band_endpoints(k)
     if lo <= z <= hi:
@@ -171,7 +170,7 @@ def resolvent_integral_2d(v: VFunction, k, z: float) -> IntegralResult:
     side = int(z > hi)
     f = _AuditIntegrand(v, k, side, z - hi if side else lo - z)
     n = _BASE_GRID
-    prev = f.grid_sum(n)
+    prev, diff = f.grid_sum(n), math.nan
     for r in range(1, _MAX_REFINEMENTS + 1):
         n *= 2
         cur = f.grid_sum(n)
@@ -181,7 +180,7 @@ def resolvent_integral_2d(v: VFunction, k, z: float) -> IntegralResult:
         prev = cur
     raise NonConvergence(
         "no convergence after %d refinements (grid %d^2, last value %.17g, last diff %.3g)"
-        % (_MAX_REFINEMENTS, n, prev, diff if _MAX_REFINEMENTS else math.nan)
+        % (_MAX_REFINEMENTS, n, prev, diff)
     )
 
 
@@ -315,18 +314,16 @@ class _Kernels:
 
 
 class _KernelBatch:
-    """The Laplace-Bessel kernels of the fibers at a list of momenta.
+    """The Laplace-Bessel kernels of the fibers at an (n, 3) array of reduced momenta.
 
-    Row i belongs to fiber `points[i]`.  The ive tables are built once over
+    Fiber i is the one at row i of `kc`.  The ive tables are built once over
     the distinct c_j = cos(k_j/2) of the whole batch.  `kernels` samples G
     for the requested band edges one order triple and one block of rows at
     a time, so memory holds one (rows x nodes) array per call, and every
     row is the same arithmetic a batch of one would do.
     """
 
-    def __init__(self, v: VFunction, points):
-        self.points = [p if isinstance(p, TorusPoint) else TorusPoint(p) for p in points]
-        kc = np.array([p.coords for p in self.points], dtype=float).reshape(-1, 3)
+    def __init__(self, v: VFunction, kc: np.ndarray):
         n = kc.shape[0]
         self.m, self.M = band_endpoints(kc)
         self.eps = epsilon(kc)
@@ -388,7 +385,7 @@ class _KernelBatch:
 
     def kernels(self, sides) -> _Kernels:
         """Kernels of every fiber at each band edge in `sides`, one edge after the other."""
-        n = len(self.points)
+        n = self.m.size
         fiber = np.tile(np.arange(n), len(sides))
         side = np.repeat(np.asarray(sides, dtype=int), n)
         tables = self._tables
@@ -429,9 +426,10 @@ class ResolventKernel:
     """
 
     def __init__(self, v: VFunction, k):
-        self._batch = _KernelBatch(v, [k])
+        kc = reduce_coords(k).reshape(1, 3)
+        self._batch = _KernelBatch(v, kc)
         self._kernels = self._batch.kernels((0, 1))
-        self.k = self._batch.points[0]
+        self.k = tuple(kc[0].tolist())
         self.m = float(self._batch.m[0])
         self.M = float(self._batch.M[0])
 

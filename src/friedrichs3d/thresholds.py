@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .determinant import ModelParams
-from .lattice import ORIGIN, TorusPoint, lambda_point, reduce_coords, threshold_point
+from .lattice import ORIGIN, lambda_point, reduce_coords, threshold_point
 from .quadrature import ResolventKernel
 from .vfunction import VFunction
 
@@ -168,7 +168,7 @@ def critical_couplings(gamma: float, v: VFunction) -> CriticalCouplings:
 # ---------------------------------------------------------------------------
 
 
-def _denominator_for(label: str, point: TorusPoint):
+def _denominator_for(label: str, point: tuple):
     """The operator denominator w1 - z0 at the threshold, with its quadratic zero."""
     if label == "origin":
 
@@ -176,7 +176,7 @@ def _denominator_for(label: str, point: TorusPoint):
             return 2.0 * (3.0 - np.cos(qx) - np.cos(qy) - np.cos(qz))
 
         return den
-    k1, k2, k3 = point.coords
+    k1, k2, k3 = point
 
     def den(qx, qy, qz):
         # w1 - 27/2 = eps(k+q) + eps(q) - 9: nonpositive, quadratic zero at q = k
@@ -193,7 +193,7 @@ def _denominator_for(label: str, point: TorusPoint):
     return den
 
 
-def _samples_off_zero_set(v: VFunction, label: str, point: TorusPoint, seed: int, n: int):
+def _samples_off_zero_set(v: VFunction, label: str, point: tuple, seed: int, n: int):
     """The first n uniform momenta q with |w1 - z0| >= 1e-6, drawn from `seed`.
 
     Rows come in blocks from one stream, so they are the momenta a loop
@@ -227,7 +227,7 @@ class ThresholdReport:
     local_exponent: float
     in_l2: bool
     f0: float
-    f1_samples: tuple
+    f1_samples: tuple  # (reduced momentum as a 3-tuple, f1 there) pairs
 
 
 def classify_threshold(params: ModelParams, v: VFunction, point: str) -> ThresholdReport:
@@ -261,7 +261,7 @@ def classify_threshold(params: ModelParams, v: VFunction, point: str) -> Thresho
 
     q, vv, d = _samples_off_zero_set(v, label, pt, 12345, 100)
     f1 = -params.mu * vv / d
-    samples = [(TorusPoint(row), float(f)) for row, f in zip(q, f1)]
+    samples = [(tuple(k), f) for k, f in zip(reduce_coords(q).tolist(), f1.tolist())]
 
     return ThresholdReport(
         point=point,

@@ -137,7 +137,7 @@ class VFunction:
         return total
 
     def __call__(self, p) -> float:
-        c1, c2, c3 = (p.coords if hasattr(p, "coords") else tuple(np.asarray(p, dtype=float)))
+        c1, c2, c3 = np.asarray(p, dtype=float)
         return float(self.evaluate(c1, c2, c3))
 
     # ---- exact algebra ---------------------------------------------------
@@ -200,14 +200,14 @@ class VFunction:
         is a polynomial of degree <= 8 per variable, so a nonzero v vanishes
         to order at most 24.
         """
-        coords = point.coords if hasattr(point, "coords") else tuple(np.asarray(point, float))
+        coords = np.asarray(point, dtype=float)
         coeffs = _exp_coeffs_cached(self)
         if not coeffs:
             return None
         modes = np.array([n for n, _ in coeffs], dtype=float)
         # one row per alpha with |alpha| = q, holding c_n e^{i n.point} n^alpha;
         # the rows with alpha1 = 0 come last, and among them (0, 0, q)
-        rows = (np.array([c for _, c in coeffs]) * np.exp(1j * (modes @ np.asarray(coords))))[None]
+        rows = (np.array([c for _, c in coeffs]) * np.exp(1j * (modes @ coords)))[None]
         no_1 = no_12 = rows
         bound = self._coefficient_bound()
         for q in range(6 * MAX_HARMONIC + 1):

@@ -15,7 +15,6 @@ from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
 from friedrichs3d.lattice import (
     ORIGIN,
     PI_POINT,
-    TorusPoint,
     band_endpoints,
     lambda_point,
 )
@@ -95,7 +94,7 @@ def test_criterion_03_band_edges_match_dense_scan():
     for _ in range(50):
         k = rng.uniform(-np.pi, np.pi, 3)
         lo_ref, hi_ref = brute_band_endpoints(k, n=201)
-        lo, hi = band_endpoints(TorusPoint(k))
+        lo, hi = band_endpoints(k)
         worst = max(worst, abs(lo - lo_ref), abs(hi - hi_ref))
     elapsed = time.perf_counter() - t0
     _report(3, worst <= 1e-3, "worst deviation %.2e over 50 momenta in %.1f s" % (worst, elapsed))
@@ -122,7 +121,7 @@ def test_criterion_04_discretization_convergence_to_roots():
         params = ModelParams(
             gamma=float(rng.uniform(-3.0, -0.5)), mu=float(rng.uniform(0.3, 0.9))
         )
-        k = TorusPoint(rng.uniform(-np.pi, np.pi, 3))
+        k = rng.uniform(-np.pi, np.pi, 3)
         window = find_discrete_spectrum(params, v, k)
         assert window.eigen_below is not None  # gamma < 0 always binds below
         errs = []
@@ -274,7 +273,7 @@ def test_criterion_08_shell_slopes(classification_matrix):
     details = []
     for v, _, rep_o, _, rep_c in classification_matrix:
         for rep, point in ((rep_o, ORIGIN), (rep_c, lambda_point(1))):
-            exponent, _ = l2_membership_probe(v, point.to_array())
+            exponent, _ = l2_membership_probe(v, np.array(point))
             slope = 2.0 * exponent - 1.0
             if rep.verdict == "virtual_level":
                 ok = ok and abs(slope - (-1.0)) <= 0.1

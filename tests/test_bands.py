@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from friedrichs3d.bands import ESSENTIAL_BAND, BandStructure, assemble_bands, branch_extrema
-from friedrichs3d.determinant import ModelParams, SpectralWindow, find_discrete_spectrum
+from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
 from friedrichs3d.lattice import ORIGIN, PI_POINT, lambda_points
 from friedrichs3d.vfunction import parse_v
 
@@ -58,8 +58,8 @@ def test_refinement_adds_points_where_branches_detach(v_one):
     structure = assemble_bands(ModelParams(gamma=8.0, mu=0.3), v_one, resolution=4)
     base_count = 4 ** 3 + 10
     assert len(structure.eigen_branches) > base_count
-    below = structure.branch_values("below")
-    ks = {w.k for w in structure.eigen_branches}
+    below = structure.eigen_branches[~np.isnan(structure.eigen_branches[:, 5])]
+    ks = {tuple(row[:3]) for row in structure.eigen_branches.tolist()}
     assert len(ks) == len(structure.eigen_branches)  # no duplicate fibers
     assert 0 < len(below) < len(structure.eigen_branches)
 
@@ -78,7 +78,7 @@ def _torus_gap(points, ks):
 @pytest.mark.parametrize("resolution", [4, 8])
 def test_every_flipped_grid_link_is_refined(resolution):
     structure = assemble_bands(_DETACH, parse_v(_DETACH_V), resolution=resolution)
-    ks = np.array([w.k.coords for w in structure.eigen_branches])
+    ks = structure.eigen_branches[:, :3]
     h = 2.0 * np.pi / resolution
     g = -np.pi + (np.arange(resolution) + 0.5) * h
     nodes = np.array([(a, b, c) for a in g for b in g for c in g])
@@ -87,8 +87,8 @@ def test_every_flipped_grid_link_is_refined(resolution):
     assert np.all(_torus_gap(nodes, ks) < 1e-12)
     has = {}
     for (i, j, l), row in zip(np.ndindex(resolution, resolution, resolution), at):
-        w = structure.eigen_branches[row]
-        has[i, j, l] = (w.eigen_below is not None, w.eigen_above is not None)
+        below, above = structure.eigen_branches[row, 5:]
+        has[i, j, l] = (not np.isnan(below), not np.isnan(above))
     expected = []
     for (i, j, l), here in has.items():
         for axis in range(3):
@@ -109,22 +109,23 @@ def test_every_flipped_grid_link_is_refined(resolution):
 @pytest.mark.parametrize("resolution", [3, 9])
 def test_each_fiber_is_solved_once(resolution):
     structure = assemble_bands(_DETACH, parse_v(_DETACH_V), resolution=resolution)
-    ks = np.array([w.k.coords for w in structure.eigen_branches])
+    ks = structure.eigen_branches[:, :3]
     for i in range(len(ks) - 1):
         assert _torus_gap(ks[i : i + 1], ks[i + 1 :])[0] > 1e-9
     # at these resolutions every Lambda point is a grid node
     for point in (ORIGIN, PI_POINT) + lambda_points():
-        assert sum(w.k == point for w in structure.eigen_branches) == 1
+        assert sum(tuple(k) == point for k in ks.tolist()) == 1
 
 
 def test_batched_fibers_match_single_fiber_solves(v_cos_half):
     params = ModelParams(gamma=-0.8, mu=0.45)
     structure = assemble_bands(params, v_cos_half, resolution=4)
     assert structure.root_iterations > 0
-    for w in structure.eigen_branches:
-        single = find_discrete_spectrum(params, v_cos_half, w.k)
-        assert (w.m, w.M) == (single.m, single.M)
-        for got, want in ((w.eigen_below, single.eigen_below), (w.eigen_above, single.eigen_above)):
+    for k1, k2, k3, m, M, below, above in structure.eigen_branches.tolist():
+        single = find_discrete_spectrum(params, v_cos_half, (k1, k2, k3))
+        assert (m, M) == (single.m, single.M)
+        for got, want in ((below, single.eigen_below), (above, single.eigen_above)):
+            got = None if np.isnan(got) else got
             assert (got is None) == (want is None)
             if got is not None:
                 assert got == pytest.approx(want, abs=1e-12)
@@ -140,16 +141,29 @@ def test_endpoints_stable_under_grid_refinement(v_one):
         assert b1 == pytest.approx(b2, abs=1e-9)
 
 
-def test_branch_values_validates_side(v_one):
+def test_branch_extrema_validates_side(v_one):
     structure = assemble_bands(ModelParams(gamma=6.0, mu=1e-6), v_one, resolution=4)
     with pytest.raises(ValueError):
-        structure.branch_values("left")
+        branch_extrema(structure, "left")
 
 
 def test_branch_extrema_none_when_side_is_empty():
-    window = SpectralWindow(k=ORIGIN, m=0.0, M=12.0, eigen_below=-1.0, eigen_above=None)
+    row = np.array([[*ORIGIN, 0.0, 12.0, -1.0, np.nan]])
     structure = BandStructure(
-        intervals=((-1.0, 13.5),), k_grid_resolution=1, eigen_branches=(window,)
+        intervals=((-1.0, 13.5),), k_grid_resolution=1, eigen_branches=row
     )
     assert branch_extrema(structure, "above") is None
     assert branch_extrema(structure, "below") == (-1.0, -1.0, ORIGIN, ORIGIN)
+
+
+def test_branch_extrema_take_the_first_row_in_k_order_on_a_tie():
+    nan = np.nan
+    rows = np.array([
+        [-1.0, 0.0, 0.0, 1.0, 12.0, -2.0, 14.0],
+        [0.0, 0.0, 0.0, 0.0, 12.0, nan, 14.0],
+        [1.0, 0.0, 0.0, 1.0, 12.0, -2.0, nan],
+        [2.0, 0.0, 0.0, 1.0, 12.0, -3.0, 13.0],
+    ])
+    structure = BandStructure(intervals=((-3.0, 14.0),), k_grid_resolution=1, eigen_branches=rows)
+    assert branch_extrema(structure, "below") == (-3.0, -2.0, (2.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
+    assert branch_extrema(structure, "above") == (13.0, 14.0, (2.0, 0.0, 0.0), (-1.0, 0.0, 0.0))

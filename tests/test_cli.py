@@ -9,9 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from friedrichs3d import quadrature
+from friedrichs3d import cli, quadrature
 from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
-from friedrichs3d.lattice import TorusPoint
 from friedrichs3d.vfunction import parse_v
 
 
@@ -24,7 +23,7 @@ def test_spectrum_json_round_trip(run_cli):
     assert report["command"] == "spectrum"
     assert "version" in report
     window = find_discrete_spectrum(
-        ModelParams(gamma=-2.0, mu=0.6), parse_v("1"), TorusPoint(0.5, 0.1, -0.8)
+        ModelParams(gamma=-2.0, mu=0.6), parse_v("1"), [0.5, 0.1, -0.8]
     )
     res = report["results"]
     assert res["eigen_below"] == pytest.approx(window.eigen_below, abs=1e-12)
@@ -60,6 +59,67 @@ def test_bands_csv_shape(run_cli):
     assert len(lines) == 4 ** 3 + 10 + 1
     cells = lines[1].split(",")
     assert len(cells) == 7
+
+
+def test_bands_csv_writes_plain_floats(run_cli):
+    # both branches detach inside the grid, so empty cells occur on both sides
+    code, out, err = run_cli(
+        "bands", "--gamma", "8", "--mu", "0.3", "--resolution", "4", "--format", "csv",
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert any(row[5] == "" for row in rows) and any(row[5] != "" for row in rows)
+    for cell in (cell for row in rows for cell in row if cell):
+        assert repr(float(cell)) == cell
+
+
+@pytest.mark.parametrize(
+    "argv, momenta",
+    [
+        pytest.param(
+            ("bands", "--gamma", "-1.5", "--mu", "0.5", "--resolution", "4"),
+            lambda res: [res[b][a] for b in ("branch_below", "branch_above") for a in ("argmin", "argmax")],
+            id="bands",
+        ),
+        pytest.param(
+            ("spectrum", "--gamma", "-2", "--mu", "0.6", "--k", "0.5,0.1,-7"),
+            lambda res: [res["k"]],
+            id="spectrum",
+        ),
+        pytest.param(
+            ("verify", "--gamma", "-2", "--mu", "0.6", "--k", "0.5,0.1,-7", "--grids", "4"),
+            lambda res: [res["k"]],
+            id="verify",
+        ),
+        pytest.param(
+            ("classify", "--gamma", "2", "--mu", "1", "--point", "lambda:3"),
+            lambda res: [q for q, _ in res["f1_samples"]],
+            id="classify",
+        ),
+    ],
+)
+def test_report_momenta_are_python_floats(run_cli, monkeypatch, argv, momenta):
+    # a numpy scalar would print as np.float64(...) in a CSV cell
+    reports = []
+    monkeypatch.setattr(cli, "_emit", lambda report, cfg, table: reports.append(report))
+    code, _, err = run_cli(*argv)
+    assert code in (0, 3), err
+    points = momenta(reports[0]["results"])
+    assert points and all(len(k) == 3 and all(type(c) is float for c in k) for k in points)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("k", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+def test_malformed_momentum_exits_two(run_cli, tmp_path, command, k):
+    code, out, err = run_cli(command, "--gamma", "-2", "--mu", "0.6", "--k", k)
+    assert code == 2
+    assert err.strip() and out == ""
+    config = tmp_path / "report.json"
+    coords = [float(c) for c in k.split(",")]
+    config.write_text(json.dumps({"config": {"command": command, "gamma": -2.0, "mu": 0.6, "k": coords}}))
+    code, out, err = run_cli("--config", str(config))
+    assert code == 2
+    assert err.strip() and out == ""
 
 
 def test_bands_json_reports_intervals(run_cli):

@@ -12,7 +12,7 @@ from friedrichs3d.determinant import (
     find_discrete_spectrum,
     fredholm_delta,
 )
-from friedrichs3d.lattice import ORIGIN, PI_POINT, TorusPoint, band_endpoints, lambda_point, w1_on_grid
+from friedrichs3d.lattice import ORIGIN, PI_POINT, band_endpoints, lambda_point, reduce_coords, w1_on_grid
 from friedrichs3d.quadrature import IntegralResult
 from friedrichs3d.thresholds import fredholm_delta_threshold
 from friedrichs3d.vfunction import VFunction, parse_v
@@ -50,7 +50,7 @@ def test_determinant_closed_form_at_corner_momentum(v_one):
 
 def test_determinant_refuses_band_interior(v_one):
     params = ModelParams(gamma=1.0, mu=0.4)
-    k = TorusPoint(0.7, -0.2, 0.1)
+    k = (0.7, -0.2, 0.1)
     lo, hi = band_endpoints(k)
     for z in (lo + 1e-9, 0.5 * (lo + hi), hi - 1e-9, lo - 1e-7, hi + 1e-7):
         with pytest.raises(InsideEssentialSpectrum):
@@ -96,7 +96,7 @@ def test_discrete_spectrum_matches_corner_closed_form(v_one):
 
 
 def test_discrete_spectrum_existence_logic(v_cos_half):
-    k = TorusPoint(0.8, -0.3, 0.2)
+    k = (0.8, -0.3, 0.2)
     # weak coupling at moderate gamma: no state detaches on either side
     window = find_discrete_spectrum(ModelParams(gamma=2.0, mu=0.05), v_cos_half, k)
     assert window.eigen_below is None and window.eigen_above is None
@@ -114,7 +114,7 @@ def test_discrete_spectrum_roots_zero_the_grid_determinant(v_cos_half, rng):
     # dual route: roots come from the transform kernel, the audit from the
     # closed-form t3 integral on a (t1, t2) grid
     for _ in range(3):
-        k = TorusPoint(rng.uniform(-np.pi, np.pi, 3))
+        k = rng.uniform(-np.pi, np.pi, 3)
         params = ModelParams(gamma=float(rng.uniform(-3.0, -0.5)), mu=float(rng.uniform(0.4, 0.9)))
         window = find_discrete_spectrum(params, v_cos_half, k)
         assert window.eigen_below is not None
@@ -135,7 +135,7 @@ def test_zero_coupling_function_leaves_pure_shift(v_one):
     # v = 0 collapses the determinant to w0 - z
     zero = parse_v("0")
     params = ModelParams(gamma=-2.0, mu=0.5)
-    window = find_discrete_spectrum(params, zero, TorusPoint(0.4, 0.4, -0.9))
+    window = find_discrete_spectrum(params, zero, (0.4, 0.4, -0.9))
     assert window.eigen_below == pytest.approx(
         params.gamma + 3.0 - np.cos(0.4) * 2.0 - np.cos(-0.9), abs=1e-9
     )
@@ -170,7 +170,7 @@ _AUDIT_GAP = 2e-5
 def test_audit_integral_matches_the_3d_grid_oracle(terms, k, above, delta):
     # the closed-form t3 route of fredholm_delta against a plain 3D midpoint grid
     v = VFunction(terms)
-    k = TorusPoint(k)
+    k = reduce_coords(k)
     lo, hi = band_endpoints(k)
     z = hi + delta if above else lo - delta
     _, result = fredholm_delta(ModelParams(gamma=0.0, mu=1.0), v, k, z, with_diagnostics=True)
@@ -192,23 +192,24 @@ def test_audit_integral_matches_the_3d_grid_oracle(terms, k, above, delta):
 def test_batched_roots_are_the_single_roots_and_unique(terms, ks, gamma, mu):
     v = VFunction(terms)
     params = ModelParams(gamma=gamma, mu=mu)
-    windows, _ = _solve_fibers(params, v, [TorusPoint(k) for k in ks])
-    w = windows[0]
-    single = find_discrete_spectrum(params, v, w.k)
-    for got, want in ((w.eigen_below, single.eigen_below), (w.eigen_above, single.eigen_above)):
+    rows, _ = _solve_fibers(params, v, reduce_coords(ks))
+    k = ks[0]
+    m, M, below, above = (None if np.isnan(x) else x for x in rows[0].tolist())
+    single = find_discrete_spectrum(params, v, k)
+    for got, want in ((below, single.eigen_below), (above, single.eigen_above)):
         assert (got is None) == (want is None)
         if got is not None:
             assert got == pytest.approx(want, abs=1e-12)
     # Delta decreases outside the band, so with at most one root per side its
     # sign at sampled z is + left of the root (or everywhere below without
     # one) and - right of it (or everywhere above without one)
-    for root, edge, outward in ((w.eigen_below, w.m, -1.0), (w.eigen_above, w.M, 1.0)):
+    for root, edge, outward in ((below, m, -1.0), (above, M, 1.0)):
         for dist in (0.2, 2.0, 20.0):
             z = edge + outward * dist
             if root is not None and abs(z - root) < 1e-6:
                 continue
             left = z < root if root is not None else outward < 0.0
-            assert (fredholm_delta(params, v, w.k, z) > 0.0) == left
+            assert (fredholm_delta(params, v, k, z) > 0.0) == left
         if root is not None and abs(root - edge) > _AUDIT_GAP:
-            assert fredholm_delta(params, v, w.k, root - 1e-5) > 0.0
-            assert fredholm_delta(params, v, w.k, root + 1e-5) < 0.0
+            assert fredholm_delta(params, v, k, root - 1e-5) > 0.0
+            assert fredholm_delta(params, v, k, root + 1e-5) < 0.0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
-from friedrichs3d.lattice import TorusPoint
 from friedrichs3d.oracle import DiscretizedOperator, discretize, extreme_eigenvalues
 from friedrichs3d.vfunction import parse_v
 
@@ -11,13 +10,13 @@ from oracles import dense_eigenvalues
 
 def test_discretize_shapes_and_values(v_cos_half):
     params = ModelParams(gamma=1.5, mu=0.4)
-    k = TorusPoint(0.3, -1.1, 2.0)
+    k = (0.3, -1.1, 2.0)
     op = discretize(params, v_cos_half, k, 5)
     assert op.grid_n == 5
     assert op.diagonal.shape == (125,)
     assert op.border.shape == (125,)
     # scalar entry is the one-particle level
-    eps_k = float(np.sum(1.0 - np.cos(k.to_array())))
+    eps_k = float(np.sum(1.0 - np.cos(k)))
     assert op.scalar == pytest.approx(1.5 + eps_k, abs=1e-12)
     # border entries scale like mu h^{3/2} v
     h = 2.0 * np.pi / 5
@@ -37,7 +36,7 @@ def test_secular_extremes_match_dense_solver(rng):
         params = ModelParams(
             gamma=float(rng.uniform(-4.0, 10.0)), mu=float(rng.uniform(0.1, 1.2))
         )
-        k = TorusPoint(rng.uniform(-np.pi, np.pi, 3))
+        k = rng.uniform(-np.pi, np.pi, 3)
         op = discretize(params, v, k, int(rng.integers(3, 9)))
         lo, hi = extreme_eigenvalues(op)
         dense = dense_eigenvalues(op)
@@ -51,7 +50,7 @@ def test_zero_borders_decouple_as_spectators():
     diag = np.array([1.0, 2.0, 3.0, 4.0])
     border = np.array([0.5, 0.0, 0.2, 0.0])
     op = DiscretizedOperator(
-        k=TorusPoint(0.0, 0.0, 0.0), grid_n=2, scalar=-1.0, diagonal=diag, border=border
+        k=(0.0, 0.0, 0.0), grid_n=2, scalar=-1.0, diagonal=diag, border=border
     )
     lo, hi = extreme_eigenvalues(op)
     dense = dense_eigenvalues(op)
@@ -59,7 +58,7 @@ def test_zero_borders_decouple_as_spectators():
     assert hi == pytest.approx(float(dense[-1]), abs=1e-12)
     # fully decoupled arrow: pure diagonal plus isolated scalar
     op = DiscretizedOperator(
-        k=TorusPoint(0.0, 0.0, 0.0),
+        k=(0.0, 0.0, 0.0),
         grid_n=2,
         scalar=10.0,
         diagonal=diag,
@@ -72,14 +71,14 @@ def test_zero_borders_decouple_as_spectators():
 
 def test_dense_solver_refuses_large_grids(v_one):
     params = ModelParams(gamma=0.5, mu=0.3)
-    op = discretize(params, v_one, TorusPoint(0.0, 0.0, 0.0), 10)
+    op = discretize(params, v_one, (0.0, 0.0, 0.0), 10)
     with pytest.raises(ValueError):
         dense_eigenvalues(op)
 
 
 def test_discretization_converges_to_the_determinant_root(v_cos_half):
     params = ModelParams(gamma=-2.0, mu=0.6)
-    k = TorusPoint(0.5, 0.1, -0.8)
+    k = (0.5, 0.1, -0.8)
     window = find_discrete_spectrum(params, v_cos_half, k)
     assert window.eigen_below is not None
     errors = []

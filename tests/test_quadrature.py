@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from friedrichs3d import quadrature
-from friedrichs3d.lattice import ORIGIN, PI_POINT, TorusPoint, lambda_point
+from friedrichs3d.lattice import ORIGIN, PI_POINT, lambda_point, reduce_coords
 from friedrichs3d.quadrature import NonConvergence, ResolventKernel, _KernelBatch, resolvent_integral_2d
 from friedrichs3d.thresholds import threshold_integral
 from friedrichs3d.vfunction import VFunction, parse_v
@@ -90,7 +90,7 @@ def test_audit_route_matches_the_kernel_next_to_the_band():
     # down to the solver's edge margin from either edge, where a 3D grid would
     # need more than 1024^3 points and an ungraded (t1, t2) grid 4096^2 at 1e-4
     v = parse_v("0.8681 - 0.3394*cos(p1) + 0.2634*sin(2*p2) + 0.3069*cos(p2)*cos(p3)")
-    k = TorusPoint(0.7789, -2.4694, -0.1161)
+    k = (0.7789, -2.4694, -0.1161)
     kernel = ResolventKernel(v, k)
     for delta in (1e-3, 1e-4, 1e-6):
         below = resolvent_integral_2d(v, k, kernel.m - delta)
@@ -100,7 +100,7 @@ def test_audit_route_matches_the_kernel_next_to_the_band():
 
 
 def test_audit_route_refuses_the_band_and_reports_its_grid(v_cos_half, monkeypatch):
-    k = TorusPoint(0.9, 0.4, -1.2)
+    k = (0.9, 0.4, -1.2)
     kernel = ResolventKernel(v_cos_half, k)
     for z in (kernel.m, 0.5 * (kernel.m + kernel.M), kernel.M):
         with pytest.raises(ValueError):
@@ -148,7 +148,7 @@ def test_threshold_integral_matches_polar_oracle(v_cos_half, v_one_minus_cos):
 
     lam = lambda_point(1)
     res = threshold_integral(v_one_minus_cos, "lambda:1")
-    c = lam.to_array()
+    c = np.array(lam)
 
     def integrand(q):
         den = 9.0 - np.sum(1.0 - np.cos(c + q), axis=-1) - np.sum(1.0 - np.cos(q), axis=-1)
@@ -168,7 +168,7 @@ def test_threshold_integral_rejects_bad_pairings(v_one):
     with pytest.raises(DenominatorVanishesOutsideBall):
         integrate_threshold(v_one, ORIGIN, lam, "min")
     with pytest.raises(DenominatorVanishesOutsideBall):
-        integrate_threshold(v_one, lam, TorusPoint(0.1, 0.2, 0.3), "max")
+        integrate_threshold(v_one, lam, (0.1, 0.2, 0.3), "max")
     with pytest.raises(ValueError):
         integrate_threshold(v_one, ORIGIN, ORIGIN, "sideways")
 
@@ -188,7 +188,7 @@ def test_threshold_integral_zero_coupling_is_zero():
 @pytest.mark.parametrize("kcoords", [(0.0, 0.0, 0.0), (1.1, -2.3, 0.7), (np.pi, 1.0, -0.4)])
 def test_kernel_matches_riemann_sum_away_from_band(vtext, kcoords):
     v = parse_v(vtext)
-    k = TorusPoint(kcoords)
+    k = reduce_coords(kcoords)
     kernel = ResolventKernel(v, k)
 
     for z, side in ((kernel.m - 1.7, "below"), (kernel.M + 2.4, "above")):
@@ -205,9 +205,9 @@ def test_kernel_matches_riemann_sum_away_from_band(vtext, kcoords):
 
 def test_batched_kernel_build_is_bit_identical_to_a_batch_of_one(rng):
     v = parse_v("0.9 + 0.2 * cos(p1) - 0.3 * sin(2*p2) + 0.25 * cos(p2) * cos(p3)")
-    points = [ORIGIN, PI_POINT, lambda_point(3), TorusPoint(np.pi, 0.3, -1.1)]
-    points += [TorusPoint(rng.uniform(-np.pi, np.pi, 3)) for _ in range(8)]
-    batch = _KernelBatch(v, points)
+    points = [ORIGIN, PI_POINT, lambda_point(3), (np.pi, 0.3, -1.1)]
+    points += [rng.uniform(-np.pi, np.pi, 3) for _ in range(8)]
+    batch = _KernelBatch(v, reduce_coords(points))
     kernels = batch.kernels((0, 1))
     rows = np.arange(2 * len(points))
     delta = np.linspace(0.0, 40.0, rows.size)
@@ -230,7 +230,7 @@ def test_batched_kernel_build_is_bit_identical_to_a_batch_of_one(rng):
 )
 def test_kernel_slope_is_the_derivative_of_the_integral(v_cos_half, kcoords):
     # the solver's Newton slope, for d = 3, 2, 1, 0 free axes
-    kernels = ResolventKernel(v_cos_half, TorusPoint(kcoords))._kernels
+    kernels = ResolventKernel(v_cos_half, kcoords)._kernels
     for side in (0, 1):
         for delta in (1e-3, 0.5, 5.0):
             h = 1e-4 * delta
@@ -278,7 +278,7 @@ def test_kernel_edge_limit_and_threshold_quadrature_agree(v_cos_half, v_product)
 
 
 def test_kernel_rejects_band_interior(v_one):
-    kernel = ResolventKernel(v_one, TorusPoint(0.9, 0.4, -1.2))
+    kernel = ResolventKernel(v_one, (0.9, 0.4, -1.2))
     with pytest.raises(ValueError):
         kernel.integral_below(kernel.m + 0.5)
     with pytest.raises(ValueError):
@@ -286,7 +286,7 @@ def test_kernel_rejects_band_interior(v_one):
 
 
 def test_kernel_monotone_in_z(v_cos_half):
-    kernel = ResolventKernel(v_cos_half, TorusPoint(0.3, 0.3, 0.3))
+    kernel = ResolventKernel(v_cos_half, (0.3, 0.3, 0.3))
     below = [kernel.integral_below(kernel.m - d) for d in (3.0, 1.0, 0.3, 0.0)]
     assert all(b > 0 for b in below)
     assert below == sorted(below)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from friedrichs3d import thresholds, vfunction
 from friedrichs3d.determinant import ModelParams
-from friedrichs3d.lattice import TorusPoint, lambda_point, threshold_point
+from friedrichs3d.lattice import lambda_point, reduce_coords, threshold_point
 from friedrichs3d.thresholds import (
     DomainError,
     ZeroCoupling,
@@ -114,7 +114,7 @@ def test_critical_couplings_bundle(v_one):
 
 
 def _probe(v, which):
-    return l2_membership_probe(v, threshold_point(which)[2].to_array())
+    return l2_membership_probe(v, np.array(threshold_point(which)[2]))
 
 
 def test_probe_exponent_tracks_vanishing_order(v_one, v_cos_half, v_one_minus_cos, v_product):
@@ -198,7 +198,7 @@ def test_f1_samples_match_a_one_at_a_time_draw(v_product):
     for point in ("origin", "lambda:6"):
         report = classify_threshold(params, v_product, point)
         rng = np.random.default_rng(12345)
-        k = lambda_point(6).coords if point != "origin" else (0.0, 0.0, 0.0)
+        k = lambda_point(6) if point != "origin" else (0.0, 0.0, 0.0)
         expected = []
         while len(expected) < 100:
             q = rng.uniform(-np.pi, np.pi, size=3)
@@ -208,7 +208,8 @@ def test_f1_samples_match_a_one_at_a_time_draw(v_product):
                 d = -(3.0 + sum(np.cos(k[j] + q[j]) + np.cos(q[j]) for j in range(3)))
             if abs(d) < 1e-6:
                 continue
-            expected.append((TorusPoint(q), -params.mu * v_product(TorusPoint(q)) / d))
+            p = tuple(reduce_coords(q).tolist())
+            expected.append((p, -params.mu * v_product(p) / d))
         assert len(report.f1_samples) == 100
         for (p, f1), (p_ref, f1_ref) in zip(report.f1_samples, expected):
             assert p == p_ref
@@ -226,7 +227,7 @@ def _polar_threshold_integral(v, which):
             return np.sum(1.0 - np.cos(q), axis=-1)
 
     else:
-        center = lambda_point(int(which.split(":")[1])).to_array()
+        center = np.array(lambda_point(int(which.split(":")[1])))
 
         def den(q):
             return 9.0 - np.sum(1.0 - np.cos(center + q), axis=-1) - np.sum(1.0 - np.cos(q), axis=-1)
