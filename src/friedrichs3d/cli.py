@@ -179,6 +179,13 @@ def _flag_text(value) -> str:
     return value if isinstance(value, str) else json.dumps(value)
 
 
+def _reruns_as(value, parsed) -> bool:
+    """value == parsed, list by list, with NaN equal to NaN: a NaN is refused later as a bad value."""
+    if isinstance(value, list) and isinstance(parsed, list):
+        return len(value) == len(parsed) and all(map(_reruns_as, value, parsed))
+    return value == parsed or (value != value and parsed != parsed)
+
+
 def _load_config(path: str):
     """The config embedded in a report at `path`, and the argv it stands for."""
     with open(path) as fh:
@@ -259,7 +266,9 @@ def _cmd_bands(cfg: RunConfig, v: VFunction):
         "branch_above": _branch_summary(structure, "above"),
     }
     diagnostics = {
-        "n_fibers_solved": len(structure.eigen_branches),
+        "n_fibers": len(structure.eigen_branches),
+        "n_fibers_solved": structure.fibers_solved,
+        "symmetry_flips": [list(s) for s in structure.symmetry_flips],
         "root_iterations": structure.root_iterations,
     }
     header = ",".join(BRANCH_COLUMNS)
@@ -469,7 +478,7 @@ def main(argv=None) -> int:
         for key, value in config.items():
             # a config reruns only as itself: "0.5" for mu, or v_terms
             # that are not the parse of v, would not
-            if value is not None and value != getattr(cfg, key):
+            if value is not None and not _reruns_as(value, getattr(cfg, key)):
                 raise ValueError(
                     "config %s=%s does not rerun as itself (it parses to %s)"
                     % (key, json.dumps(value), json.dumps(getattr(cfg, key)))

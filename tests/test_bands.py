@@ -1,10 +1,21 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from friedrichs3d.bands import ESSENTIAL_BAND, BandStructure, assemble_bands, branch_extrema
-from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
+from friedrichs3d.bands import (
+    ESSENTIAL_BAND,
+    BandStructure,
+    _merge_intervals,
+    _symmetry_flips,
+    assemble_bands,
+    branch_extrema,
+)
+from friedrichs3d.determinant import ModelParams, _solve_fibers, find_discrete_spectrum
 from friedrichs3d.lattice import ORIGIN, PI_POINT, lambda_points
-from friedrichs3d.vfunction import parse_v
+from friedrichs3d.vfunction import VFunction, parse_v
 
 from oracles import pi_point_roots
 
@@ -167,3 +178,105 @@ def test_branch_extrema_take_the_first_row_in_k_order_on_a_tie():
     structure = BandStructure(intervals=((-3.0, 14.0),), k_grid_resolution=1, eigen_branches=rows)
     assert branch_extrema(structure, "below") == (-3.0, -2.0, (2.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
     assert branch_extrema(structure, "above") == (13.0, 14.0, (2.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
+
+
+# the fold: fibers related by a sign flip that fixes v^2 are solved once
+
+_ALL_FLIPS = tuple(product((1, -1), repeat=3))
+_FOLD_CASES = {
+    "every flip": (_DETACH_V, _DETACH, _ALL_FLIPS),
+    "benchmark-shaped, odd in p2": (
+        "0.8 + 0.2*cos(p1) + 0.3*sin(2*p2) - 0.2*cos(p2)*cos(p3)",
+        ModelParams(gamma=8.0, mu=0.3),
+        ((1, 1, 1), (1, 1, -1), (-1, 1, 1), (-1, 1, -1)),
+    ),
+    "p1 and p2 jointly": (
+        "sin(p1)*cos(p2) + cos(p1)*sin(p2)",
+        ModelParams(gamma=3.0, mu=0.3),
+        ((1, 1, 1), (1, 1, -1), (-1, -1, 1), (-1, -1, -1)),
+    ),
+    "no flip": ("1 + sin(p1) + sin(p2) + sin(p3)", ModelParams(gamma=3.0, mu=0.1), ((1, 1, 1),)),
+}
+
+
+def _unfolded_rows(params, v, structure):
+    """Every row of `structure` solved on its own coordinates: the (n, 4) rows m, M, below, above."""
+    rows, _ = _solve_fibers(params, v, np.ascontiguousarray(structure.eigen_branches[:, :3]))
+    return rows
+
+
+def _intervals(rows):
+    spans = [ESSENTIAL_BAND]
+    for z in rows[:, 2:].T:
+        z = z[~np.isnan(z)]
+        if z.size:
+            spans.append((z.min(), z.max()))
+    return _merge_intervals(spans)
+
+
+@pytest.mark.parametrize("resolution", [8, 9])
+@pytest.mark.parametrize("case", sorted(_FOLD_CASES))
+def test_folded_rows_equal_the_unfolded_solve(case, resolution):
+    text, params, flips = _FOLD_CASES[case]
+    v = parse_v(text)
+    structure = assemble_bands(params, v, resolution=resolution)
+    assert structure.symmetry_flips == flips
+    table = structure.eigen_branches
+    want = _unfolded_rows(params, v, structure)
+    assert np.array_equal(table[:, 3:5], want[:, :2])  # m and M bit-equal
+    got, want = table[:, 5:], want[:, 2:]
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert 0 < np.count_nonzero(np.isnan(want)) < want.size  # both existence and absence occur
+    present = ~np.isnan(want)
+    assert np.all(np.abs(got[present] - want[present]) <= 1e-12 * np.maximum(1.0, np.abs(want[present])))
+    if len(flips) == 1:
+        assert structure.fibers_solved == len(table)
+    else:
+        assert structure.fibers_solved < len(table)
+
+
+def test_every_fiber_of_a_grid_orbit_shares_one_solve(v_one):
+    # no branch detaches, so the grid pass is the only one: 8^3 / 8 orbits
+    # plus the ten distinguished momenta, none of them on this grid
+    structure = assemble_bands(ModelParams(gamma=-1.5, mu=0.5), v_one, resolution=8)
+    assert len(structure.eigen_branches) == 8 ** 3 + 10
+    assert structure.fibers_solved == 8 ** 3 // 8 + 10
+
+
+_TERMS = st.lists(
+    st.tuples(
+        st.tuples(*[st.integers(-2, 2)] * 3),
+        st.floats(0.1, 1.0) | st.floats(-1.0, -0.1),
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda term: term[0],
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(terms=_TERMS)
+def test_symmetry_flips_are_the_flips_that_fix_v_squared(terms):
+    v = VFunction(terms)
+    p = np.random.default_rng(7).uniform(-np.pi, np.pi, size=(16, 3))
+    here = np.array([v(q) for q in p]) ** 2
+    fixing = tuple(
+        s for s in _ALL_FLIPS if np.allclose([v(q * s) ** 2 for q in p], here, rtol=0.0, atol=1e-12)
+    )
+    assert _symmetry_flips(v) == fixing
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    terms=_TERMS,
+    gamma=st.floats(-2.0, 15.0),
+    mu=st.floats(0.05, 1.0),
+    resolution=st.sampled_from([3, 4]),
+)
+def test_folded_intervals_equal_the_unfolded_ones(terms, gamma, mu, resolution):
+    v = VFunction(terms)
+    params = ModelParams(gamma=gamma, mu=mu)
+    structure = assemble_bands(params, v, resolution=resolution)
+    want = _intervals(_unfolded_rows(params, v, structure))
+    assert len(structure.intervals) == len(want)
+    assert np.allclose(structure.intervals, want, rtol=0.0, atol=1e-12)

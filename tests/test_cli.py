@@ -113,13 +113,13 @@ def test_report_momenta_are_python_floats(run_cli, monkeypatch, argv, momenta):
 def test_malformed_momentum_exits_two(run_cli, tmp_path, command, k):
     code, out, err = run_cli(command, "--gamma", "-2", "--mu", "0.6", "--k", k)
     assert code == 2
-    assert err.strip() and out == ""
+    assert err == "error: torus coordinates must be finite\n" and out == ""
     config = tmp_path / "report.json"
     coords = [float(c) for c in k.split(",")]
     config.write_text(json.dumps({"config": {"command": command, "gamma": -2.0, "mu": 0.6, "k": coords}}))
     code, out, err = run_cli("--config", str(config))
     assert code == 2
-    assert err.strip() and out == ""
+    assert err == "error: torus coordinates must be finite\n" and out == ""
 
 
 def test_bands_json_reports_intervals(run_cli):
@@ -138,7 +138,7 @@ def test_bands_reports_root_iterations(run_cli):
     code, out, err = run_cli("bands", "--gamma", "-1.5", "--mu", "0.5", "--v", "1", "--resolution", "8")
     assert code == 0, err
     diagnostics = json.loads(out)["diagnostics"]
-    passes = 1 if diagnostics["n_fibers_solved"] == 8 ** 3 + 10 else 2
+    passes = 1 if diagnostics["n_fibers"] == 8 ** 3 + 10 else 2
     assert 0 < diagnostics["root_iterations"] <= 15 * passes
 
 
