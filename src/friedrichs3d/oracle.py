@@ -61,8 +61,12 @@ def _secular_root(scalar: float, d: np.ndarray, b2: np.ndarray, lowest: bool) ->
     eta = 1e-9 * scale
     near = edge + direction * eta
 
+    work = np.empty_like(d)  # one buffer for every f(z): no fresh temporaries per call
+
     def f(z):
-        return scalar - z - float(np.sum(b2 / (d - z)))
+        np.subtract(d, z, out=work)
+        np.divide(b2, work, out=work)
+        return scalar - z - float(np.sum(work))
 
     # push the near endpoint until the pole dominates (finite-precision guard)
     for _ in range(60):

@@ -8,7 +8,8 @@ z outside the fiber band:
   to the band edge, including the edge limit itself.  This is what the
   discrete-spectrum solver runs on, since root-finding needs evaluations
   exactly at the edges, and the threshold integrals are its edge limits
-  at k = 0 and on Lambda.
+  at k = 0 and on Lambda.  Its Bessel functions, and the erfc and E1 of
+  its tails, come from `_special`, which needs numpy and math only.
 * `resolvent_integral_2d`: the t3 integral in closed form, the
   remainder on a midpoint grid in (t1, t2) graded toward the band edge,
   with grid doubling.  It shares nothing with the kernel, so it audits
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sc
 
+from . import _special
 from .lattice import TWO_PI, band_endpoints, epsilon, reduce_coords
 from .vfunction import VFunction
 
@@ -230,14 +231,14 @@ def _tails(d_free: int, delta):
     x = delta * S
     e = np.exp(-x)
     if d_free % 2:
-        erfc = _sc.erfc(np.sqrt(x))
+        erfc = _special.erfc(np.sqrt(x))
         t_half = np.sqrt(math.pi / delta) * erfc
         t_three_halves = 2.0 * e / math.sqrt(S) - 2.0 * np.sqrt(math.pi * delta) * erfc
         if d_free == 1:
             return (math.sqrt(S) * e + 0.5 * t_half) / delta, t_half, t_three_halves
         return t_half, t_three_halves, (2.0 / 3.0) * (e * S ** -1.5 - delta * t_three_halves)
     t_zero = e / delta
-    t_one = _sc.exp1(x)
+    t_one = _special.exp1(x)
     if d_free == 0:
         return e * (S / delta + 1.0 / (delta * delta)), t_zero, t_one
     return t_zero, t_one, e / S - delta * t_one
@@ -378,10 +379,7 @@ class _KernelBatch:
         c_unique, c_index = np.unique(c, return_inverse=True)
         self._c_index = c_index.reshape(n, 3)
         orders = 1 + max((max(t) for t in self._triples), default=-1)
-        self._tables = _sc.ive(
-            np.arange(orders, dtype=float)[:, None, None],
-            (2.0 * c_unique)[None, :, None] * self._s_nodes[None, None, :],
-        )
+        self._tables = _special.ive_orders(orders, 2.0 * c_unique[:, None] * self._s_nodes)
 
     def kernels(self, sides) -> _Kernels:
         """Kernels of every fiber at each band edge in `sides`, one edge after the other."""
@@ -417,7 +415,9 @@ class ResolventKernel:
 
     with c_j = cos(k_j/2) >= 0 and beta_m the exponential coefficients of
     v^2; the upper side carries an extra (-1)^(m1+m2+m3).  G is sampled
-    once on fixed Gauss panels covering [0, 262144]; each z evaluation is
+    once on fixed Gauss panels covering [0, 262144], its ive(n, x) for
+    n <= 8 by `_special.ive_orders` (the ascending series, backward
+    recurrence and Hankel's expansion, elementwise); each z evaluation is
     then a weighted dot product plus a closed-form algebraic tail
     A T(d/2) + B T(d/2 + 1), where d counts the axes with c_j away from
     zero.  Edge limits (z at m or M) are exact: the tail term correctly

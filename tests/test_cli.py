@@ -1,7 +1,10 @@
 import filecmp
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +376,26 @@ def test_readme_commands_run(run_cli, tmp_path, argv):
     code, _, err = run_cli("--config", str(first), "--output", str(second))
     assert code == 0, err
     assert filecmp.cmp(first, second, shallow=False)
+
+
+def test_the_cli_runs_without_loading_scipy():
+    # a fresh interpreter: the test process itself may have imported scipy
+    (argv,) = [a for a in _readme_commands() if a[0] == "spectrum"]
+    script = (
+        "import contextlib, io, sys\n"
+        "import friedrichs3d.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = friedrichs3d.cli.main(%r)\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n" % argv
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "[]"]
 
 
 _SPECTRUM = {"command": "spectrum", "gamma": -2.0, "mu": 0.6, "k": [0.5, 0.1, -0.8]}
