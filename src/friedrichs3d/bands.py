@@ -40,10 +40,10 @@ class BandStructure:
     eigen_branches is an (n, 7) float array, one row per sampled fiber in
     lexicographic k order, with the columns BRANCH_COLUMNS: k1, k2, k3, m,
     M, eigen_below, eigen_above; NaN marks a side without an eigenvalue.  root_iterations
-    counts the lockstep root-solver iterations of both solver passes (grid,
-    then refinement), and fibers_solved the fibers they solved: one per
-    orbit of the sign flips symmetry_flips that fix v^2 (see
-    `_symmetry_flips`).
+    sums over both solver passes (grid, then refinement) the most lockstep
+    root-solver iterations a (fiber, band edge) row of the pass needed, and
+    fibers_solved counts the fibers they solved: one per orbit of the sign
+    flips symmetry_flips that fix v^2 (see `_symmetry_flips`).
     """
 
     intervals: tuple
@@ -170,10 +170,10 @@ def assemble_bands(
     grid link where a branch appears or disappears (detachment crossings),
     the periodic wrap links included; links are found by grid index.  The
     merged interval list always contains the essential band [0, 27/2].
-    Each pass solves its fibers together, one band edge at a time, and one
-    fiber per orbit of the sign flips that fix v^2: grid nodes and quarter
-    points are keyed by their quarter-lattice coordinates, and each
-    distinguished momentum is solved on its own.
+    Each pass solves its fibers on one kernel, both band edges of a fiber
+    in one lockstep group, and one fiber per orbit of the sign flips that
+    fix v^2: grid nodes and quarter points are keyed by their quarter-
+    lattice coordinates, and each distinguished momentum is solved alone.
     """
     if not (isinstance(resolution, int) and resolution >= 2):
         raise ValueError("resolution must be an integer >= 2")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import band_endpoints, reduce_coords, w0
-from .quadrature import ResolventKernel, _KernelBatch, _Kernels, resolvent_integral_2d
+from .quadrature import ResolventKernel, _Kernels, resolvent_integral_2d
 from .vfunction import VFunction
 
 __all__ = [
@@ -40,6 +40,8 @@ _ROOT_TOL = 1e-10
 _MAX_ITERATIONS = 200
 # relative rounding of Delta = w0 - z -+ mu^2 J, the floor of its attainable |Delta|
 _NOISE = 8.0 * np.finfo(float).eps
+# (fiber, band edge) rows per lockstep group of the solver: bounds its memory
+_ROWS_PER_GROUP = 512
 
 
 class InsideEssentialSpectrum(ValueError):
@@ -54,8 +56,9 @@ class ModelParams:
     mu: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and math.isfinite(self.mu)):
-            raise ValueError("gamma and mu must be finite")
+        # mu^2 is finite only for a finite mu, and the determinant takes mu^2
+        if not (math.isfinite(self.gamma) and math.isfinite(self.mu * self.mu)):
+            raise ValueError("gamma and mu^2 must be finite, got gamma %r, mu %r" % (self.gamma, self.mu))
         if self.mu <= 0.0:
             raise ValueError("mu must be positive")
 
@@ -123,7 +126,7 @@ def fredholm_delta(
     return value
 
 
-def _solve_rows(params: ModelParams, batch: _KernelBatch, kernels: _Kernels):
+def _solve_rows(params: ModelParams, kernels: _Kernels):
     """The root on each (fiber, band edge) row of `kernels`, or NaN where there is none.
 
     Each row is solved in its distance delta from its edge, where
@@ -140,10 +143,8 @@ def _solve_rows(params: ModelParams, batch: _KernelBatch, kernels: _Kernels):
     |g'| >= 1, or when its bracket is 1e-10 wide.  Returns the roots and
     the number of lockstep iterations.
     """
-    above = kernels.side == 1
-    sign = np.where(above, 1.0, -1.0)
-    edge = np.where(above, batch.M[kernels.fiber], batch.m[kernels.fiber])
-    w0 = batch.eps[kernels.fiber] + params.gamma
+    sign, edge = np.where(kernels.side == 1, 1.0, -1.0), kernels.edge
+    w0 = kernels.eps + params.gamma
     n = sign.size
     mu2 = params.mu ** 2
 
@@ -163,7 +164,7 @@ def _solve_rows(params: ModelParams, batch: _KernelBatch, kernels: _Kernels):
     roots[pinched] = EDGE_MARGIN
     open_ = np.flatnonzero((at_edge > 0.0) & ~pinched)
     lo = np.full(open_.size, EDGE_MARGIN)
-    rank_one = np.maximum(sign[open_] * (w0[open_] - edge[open_]), 0.0) + params.mu * batch.v_norm
+    rank_one = np.maximum(sign[open_] * (w0[open_] - edge[open_]), 0.0) + params.mu * kernels.v_norm
     bound = np.minimum(rank_one, at_edge[open_])
     hi = bound + 1e-9 * (1.0 + bound)
     x = hi
@@ -196,35 +197,26 @@ def _solve_rows(params: ModelParams, batch: _KernelBatch, kernels: _Kernels):
     return edge + sign * roots, iterations
 
 
-def _solve_batch(params: ModelParams, batch: _KernelBatch, kernel_groups):
-    """The (n, 4) rows m, M, root below, root above of a batch, plus the lockstep iterations.
-
-    A missing root is NaN.  Each item of `kernel_groups` holds kernel rows
-    of the batch, solved in lockstep; the rows of all groups together cover
-    both edges of every fiber.  A group is released before the next one is
-    taken.
-    """
-    rows = np.full((batch.m.size, 4), np.nan)
-    rows[:, 0] = batch.m
-    rows[:, 1] = batch.M
-    iterations = 0
-    for kernels in kernel_groups:
-        z, steps = _solve_rows(params, batch, kernels)
-        rows[kernels.fiber, 2 + kernels.side] = z
-        iterations += steps
-        del kernels
-    _check_windows(*rows.T)
-    return rows, iterations
-
-
 def _solve_fibers(params: ModelParams, v: VFunction, kc: np.ndarray):
-    """The `_solve_batch` rows at every row of the reduced (n, 3) momenta `kc`, plus the iterations.
+    """The (n, 4) rows m, M, root below, root above at the reduced (n, 3) momenta `kc`, plus the iterations.
 
-    The two band edges are solved one after the other, so only one edge's
-    (fibers x nodes) kernel samples are held at a time.
+    A missing root is NaN.  One `ResolventKernel` serves every fiber.  Both
+    band edges of a fiber step in the same lockstep group of at most
+    _ROWS_PER_GROUP rows, released before the next.  Rows step on their
+    own, so the iterations returned, the most of any group, do not depend
+    on the grouping.
     """
-    batch = _KernelBatch(v, kc)
-    return _solve_batch(params, batch, (batch.kernels((side,)) for side in (0, 1)))
+    kernel = ResolventKernel(v, kc)
+    n = kc.shape[0]
+    rows = np.full((n, 4), np.nan)
+    rows[:, 0], rows[:, 1] = kernel.m, kernel.M
+    iterations = 0
+    for start in range(0, 2 * n, _ROWS_PER_GROUP):
+        fiber, side = np.divmod(np.arange(start, min(start + _ROWS_PER_GROUP, 2 * n)), 2)
+        z, steps = _solve_rows(params, kernel.rows(fiber, side))
+        rows[fiber, 2 + side] = z
+        iterations = max(iterations, steps)
+    return rows, iterations
 
 
 def find_discrete_spectrum(params: ModelParams, v: VFunction, k) -> SpectralWindow:
@@ -233,15 +225,10 @@ def find_discrete_spectrum(params: ModelParams, v: VFunction, k) -> SpectralWind
     Existence is decided by the sign of the one-sided determinant limits at
     the band edges, evaluated exactly by the Laplace-Bessel kernel; the
     roots are then solved by safeguarded Newton to 1e-10.  A root within
-    EDGE_MARGIN of the band is reported clamped at the margin.
+    EDGE_MARGIN of the band is reported clamped at the margin.  This is
+    the solver of `bands` on a batch of one fiber.
     """
-    kernel = ResolventKernel(v, k)
-    (row,), _ = _solve_batch(params, kernel._batch, [kernel._kernels])
-    m, M, below, above = row.tolist()
-    return SpectralWindow(
-        k=kernel.k,
-        m=m,
-        M=M,
-        eigen_below=None if math.isnan(below) else below,
-        eigen_above=None if math.isnan(above) else above,
-    )
+    kc = reduce_coords(k).reshape(1, 3)
+    (row,), _ = _solve_fibers(params, v, kc)
+    m, M, below, above = (None if math.isnan(x) else x for x in row.tolist())
+    return SpectralWindow(tuple(kc[0].tolist()), m, M, below, above)

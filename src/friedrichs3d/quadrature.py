@@ -5,8 +5,9 @@ z outside the fiber band:
 
 * `ResolventKernel`: exact reduction to a 1d Laplace transform of
   modified Bessel products, accurate to machine precision uniformly down
-  to the band edge, including the edge limit itself.  This is what the
-  discrete-spectrum solver runs on, since root-finding needs evaluations
+  to the band edge, including the edge limit itself.  The one kernel
+  class, for one momentum or many: the discrete-spectrum solver runs on
+  its (fiber, band edge) rows, since root-finding needs evaluations
   exactly at the edges, and the threshold integrals are its edge limits
   at k = 0 and on Lambda.  Its Bessel functions, and the erfc and E1 of
   its tails, come from `_special`, which needs numpy and math only.
@@ -262,22 +263,25 @@ def _tail_table(delta, d_free):
     return table
 
 
+@dataclass(frozen=True, eq=False)
 class _Kernels:
-    """Laplace-Bessel kernels of a list of (fiber, band edge) rows of a batch.
+    """Laplace-Bessel kernels of a list of (fiber, band edge) rows of a `ResolventKernel`.
 
-    Row r belongs to fiber `fiber[r]` at band edge `side[r]` (0 below, 1
-    above).  `dot` holds G times its quadrature weights at the Laplace
+    Row r is one fiber at its band edge `side[r]` (0 below, 1 above), which
+    lies at `edge[r]`; `eps[r]` is eps(k) of the fiber and `v_norm` is
+    ||v||_2.  `dot` holds G times its quadrature weights at the Laplace
     nodes; A, B and d_free give the row's algebraic tail.
     """
 
-    def __init__(self, fiber, side, dot, A, B, d_free, s_nodes):
-        self.fiber = fiber
-        self.side = side
-        self.dot = dot
-        self.A = A
-        self.B = B
-        self.d_free = d_free
-        self.s_nodes = s_nodes
+    side: np.ndarray
+    edge: np.ndarray
+    eps: np.ndarray
+    v_norm: float
+    dot: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    d_free: np.ndarray
+    s_nodes: np.ndarray
 
     def integrals(self, rows, delta, slope: bool = False):
         """J = int v^2/|w1 - z| at distance delta >= 0 from the edge, for kernel `rows`.
@@ -285,12 +289,9 @@ class _Kernels:
         With `slope`, also returns -dJ/d(delta) = int_0^inf s e^{-delta s} G(s) ds,
         whose algebraic tail is the closed form one order down.
         """
-        d_free = self.d_free[rows]
-        A = self.A[rows]
-        B = self.B[rows]
-        below, lead, sub = _tail_table(delta, d_free)
-        body = np.empty(delta.size)
-        moment = np.empty(delta.size)
+        A, B = self.A[rows], self.B[rows]
+        below, lead, sub = _tail_table(delta, self.d_free[rows])
+        body, moment = np.empty((2, delta.size))
         for start in range(0, delta.size, _ROWS_PER_CHUNK):
             part = slice(start, start + _ROWS_PER_CHUNK)
             terms = self.dot[rows[part]] * np.exp(-delta[part, None] * self.s_nodes)
@@ -314,27 +315,46 @@ class _Kernels:
         return value, moment + A * below + B * lead
 
 
-class _KernelBatch:
-    """The Laplace-Bessel kernels of the fibers at an (n, 3) array of reduced momenta.
+class ResolventKernel:
+    """Fast evaluator of J(z) = int v^2 / |w1(k, .) - z| for z outside the band, per fiber.
 
-    Fiber i is the one at row i of `kc`.  The ive tables are built once over
-    the distinct c_j = cos(k_j/2) of the whole batch.  `kernels` samples G
-    for the requested band edges one order triple and one block of rows at
-    a time, so memory holds one (rows x nodes) array per call, and every
-    row is the same arithmetic a batch of one would do.
+    Writing 1/(w1 - z) as a Laplace integral factorizes the torus
+    integral into per-axis modified Bessel functions:
+
+        int v^2/(w1 - z) dt = int_0^inf e^{-(m - z) s} G(s) ds,
+        G(s) = (2 pi)^3 sum_m Re(beta_m e^{-i m.k/2}) prod_j ive(|m_j|, 2 c_j s),
+
+    with c_j = cos(k_j/2) >= 0 and beta_m the exponential coefficients of
+    v^2; the upper side carries an extra (-1)^(m1+m2+m3).  G is sampled
+    on fixed Gauss panels covering [0, 262144], its ive(n, x) for
+    n <= 8 by `_special.ive_orders` (the ascending series, backward
+    recurrence and Hankel's expansion, elementwise); each z evaluation is
+    then a weighted dot product plus a closed-form algebraic tail
+    A T(d/2) + B T(d/2 + 1), where d counts the axes with c_j away from
+    zero.  Edge limits (z at m or M) are exact: the tail term correctly
+    diverges when d <= 2 and stays finite for d = 3.
+
+    k is one momentum or an (..., 3) array of them; m, M and the integrals
+    follow its leading shape, floats for one momentum.  G is sampled only
+    for the (fiber, band edge) rows that `rows` asks for, one block at a
+    time, each row the same arithmetic a batch of one would do.
     """
 
-    def __init__(self, v: VFunction, kc: np.ndarray):
+    def __init__(self, v: VFunction, k):
+        kc = reduce_coords(k)
+        self._shape = kc.shape[:-1]
+        kc = kc.reshape(-1, 3)
         n = kc.shape[0]
-        self.m, self.M = band_endpoints(kc)
-        self.eps = epsilon(kc)
+        self._edges = np.stack(band_endpoints(kc))  # (side, fiber)
+        self.m, self.M = (self._shaped(e) for e in self._edges)
+        self._eps = epsilon(kc)
 
         sq = v.squared_exp_coeffs()
         modes = sorted(sq)
         keys = np.array(modes, dtype=int).reshape(-1, 3)
         beta = np.array([sq[m] for m in modes], dtype=complex)
         # ||v||_2^2 = (2 pi)^3 times the mean of v^2
-        self.v_norm = math.sqrt(max(TWO_PI ** 3 * float(np.real(sq.get((0, 0, 0), 0.0))), 0.0))
+        self._v_norm = math.sqrt(max(TWO_PI ** 3 * float(np.real(sq.get((0, 0, 0), 0.0))), 0.0))
 
         theta = kc[:, 0, None] * keys[:, 0] + kc[:, 1, None] * keys[:, 1] + kc[:, 2, None] * keys[:, 2]
         w_below = np.real(beta * np.exp(-0.5j * theta))
@@ -344,7 +364,7 @@ class _KernelBatch:
         c = np.cos(kc / 2.0)
         c = np.where(c < 0.0, 0.0, c)  # guard roundoff at k_j = pi
         active = c > _ACTIVE_TOL
-        self.d_free = np.sum(active, axis=1)
+        self._d_free = np.sum(active, axis=1)
 
         # algebraic tail coefficients; terms with harmonics on a frozen axis
         # are suppressed there (ive(n, ~0) ~ 0 for n > 0)
@@ -373,7 +393,7 @@ class _KernelBatch:
         for summed, w in zip(self._triple_weights, weights):
             np.add.at(summed.T, triple_of, w.T)
 
-        # ive tables by harmonic order over the distinct c_j of the batch
+        # ive tables by harmonic order over the distinct c_j of all fibers
         self._s_nodes, s_weights = _laplace_nodes()
         self._scale = vol * s_weights
         c_unique, c_index = np.unique(c, return_inverse=True)
@@ -381,11 +401,16 @@ class _KernelBatch:
         orders = 1 + max((max(t) for t in self._triples), default=-1)
         self._tables = _special.ive_orders(orders, 2.0 * c_unique[:, None] * self._s_nodes)
 
-    def kernels(self, sides) -> _Kernels:
-        """Kernels of every fiber at each band edge in `sides`, one edge after the other."""
-        n = self.m.size
-        fiber = np.tile(np.arange(n), len(sides))
-        side = np.repeat(np.asarray(sides, dtype=int), n)
+    def _shaped(self, values: np.ndarray):
+        """Per-fiber values in the leading shape of k, a float for one momentum."""
+        return values.reshape(self._shape) if self._shape else float(values[0])
+
+    def rows(self, fiber, side) -> _Kernels:
+        """The kernels of the rows (fiber[r], side[r]), side 0 below the band and 1 above.
+
+        Fibers are numbered in the row-major order of k's leading shape.
+        """
+        fiber, side = np.asarray(fiber, dtype=int), np.asarray(side, dtype=int)
         tables = self._tables
         dot = np.empty((fiber.size, self._s_nodes.size))
         for start in range(0, fiber.size, _ROWS_PER_CHUNK):
@@ -400,52 +425,27 @@ class _KernelBatch:
                     )
             dot[part] = g * self._scale
         return _Kernels(
-            fiber, side, dot, self._A[side, fiber], self._B[side, fiber], self.d_free[fiber], self._s_nodes
+            side, self._edges[side, fiber], self._eps[fiber], self._v_norm, dot,
+            self._A[side, fiber], self._B[side, fiber], self._d_free[fiber], self._s_nodes,
         )
 
+    def _integral(self, side: int, z):
+        """J at z per fiber on one side of the band; z broadcasts to the leading shape of k."""
+        z = np.broadcast_to(np.asarray(z, dtype=float), self._shape).reshape(-1)
+        edge = self._edges[side]
+        delta = z - edge if side else edge - z
+        if np.any(delta < -1e-9):
+            i = np.argmax(delta < -1e-9)
+            where = ("above the lower", "below the upper")[side]
+            raise ValueError("z = %.17g lies %s band edge %.17g" % (z[i], where, edge[i]))
+        fiber = np.arange(edge.size)
+        kernels = self.rows(fiber, np.full(edge.size, side))
+        return self._shaped(kernels.integrals(fiber, np.maximum(delta, 0.0)))
 
-class ResolventKernel:
-    """Fast evaluator of J(z) = int v^2 / |w1(k, .) - z| for z outside the band.
-
-    Writing 1/(w1 - z) as a Laplace integral factorizes the torus
-    integral into per-axis modified Bessel functions:
-
-        int v^2/(w1 - z) dt = int_0^inf e^{-(m - z) s} G(s) ds,
-        G(s) = (2 pi)^3 sum_m Re(beta_m e^{-i m.k/2}) prod_j ive(|m_j|, 2 c_j s),
-
-    with c_j = cos(k_j/2) >= 0 and beta_m the exponential coefficients of
-    v^2; the upper side carries an extra (-1)^(m1+m2+m3).  G is sampled
-    once on fixed Gauss panels covering [0, 262144], its ive(n, x) for
-    n <= 8 by `_special.ive_orders` (the ascending series, backward
-    recurrence and Hankel's expansion, elementwise); each z evaluation is
-    then a weighted dot product plus a closed-form algebraic tail
-    A T(d/2) + B T(d/2 + 1), where d counts the axes with c_j away from
-    zero.  Edge limits (z at m or M) are exact: the tail term correctly
-    diverges when d <= 2 and stays finite for d = 3.  This is a batch of
-    one of the kernels the discrete-spectrum solver builds for many fibers.
-    """
-
-    def __init__(self, v: VFunction, k):
-        kc = reduce_coords(k).reshape(1, 3)
-        self._batch = _KernelBatch(v, kc)
-        self._kernels = self._batch.kernels((0, 1))
-        self.k = tuple(kc[0].tolist())
-        self.m = float(self._batch.m[0])
-        self.M = float(self._batch.M[0])
-
-    def _evaluate(self, side: int, delta: float) -> float:
-        return float(self._kernels.integrals(np.array([side]), np.array([delta]))[0])
-
-    def integral_below(self, z: float) -> float:
+    def integral_below(self, z):
         """J(z) = int v^2/(w1 - z) dt for z <= m(k); z = m gives the edge limit."""
-        delta = self.m - float(z)
-        if delta < -1e-9:
-            raise ValueError("z = %.17g lies above the lower band edge %.17g" % (z, self.m))
-        return self._evaluate(0, max(delta, 0.0))
+        return self._integral(0, z)
 
-    def integral_above(self, z: float) -> float:
+    def integral_above(self, z):
         """J(z) = int v^2/(z - w1) dt for z >= M(k); z = M gives the edge limit."""
-        delta = float(z) - self.M
-        if delta < -1e-9:
-            raise ValueError("z = %.17g lies below the upper band edge %.17g" % (z, self.M))
-        return self._evaluate(1, max(delta, 0.0))
+        return self._integral(1, z)

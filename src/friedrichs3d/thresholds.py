@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .determinant import ModelParams
-from .lattice import ORIGIN, lambda_point, reduce_coords, threshold_point
+from .lattice import reduce_coords, threshold_point
 from .quadrature import ResolventKernel
 from .vfunction import VFunction
 
@@ -64,14 +64,25 @@ class ZeroCoupling(ValueError):
     """The threshold integral vanishes (v is trivial), no critical coupling."""
 
 
+def _finite(value: float, what: str) -> float:
+    """value, or RuntimeError when it is not finite.
+
+    All three axes are free at k = 0 and on Lambda, so every threshold
+    quantity is finite in exact arithmetic: a non-finite one overflowed.
+    """
+    if not math.isfinite(value):
+        raise RuntimeError("the %s is %r in floating point" % (what, value))
+    return value
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _threshold_integral_cached(v: VFunction, label: str, index) -> float:
-    if label == "origin":
+def _threshold_integral_cached(v: VFunction, label: str, point: tuple) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        kernel = ResolventKernel(v, point)
         # w1(0, .) = 2 eps, so int v^2/eps is twice the lower edge limit
-        kernel = ResolventKernel(v, ORIGIN)
-        return 2.0 * kernel.integral_below(kernel.m)
-    kernel = ResolventKernel(v, lambda_point(index))
-    return kernel.integral_above(kernel.M)
+        lower = label == "origin"
+        value = 2.0 * kernel.integral_below(kernel.m) if lower else kernel.integral_above(kernel.M)
+    return _finite(value, "%s threshold integral" % label)
 
 
 def threshold_integral(v: VFunction, which: str) -> float:
@@ -81,8 +92,8 @@ def threshold_integral(v: VFunction, which: str) -> float:
     eps(t)) at a Lambda point k, both exact edge limits of the fiber's
     resolvent kernel (z = 0 at k = 0, z = 27/2 on Lambda).
     """
-    label, index, _ = threshold_point(which)
-    return _threshold_integral_cached(v, label, index)
+    label, _, point = threshold_point(which)
+    return _threshold_integral_cached(v, label, point)
 
 
 def _threshold_terms(v: VFunction, which: str):
@@ -118,7 +129,7 @@ def _mu_critical(gamma: float, v: VFunction, which: str) -> float:
     if not sign * j > 0.0:
         raise ZeroCoupling("the %s threshold integral vanishes; no critical coupling" % side)
     # the signs agree (checked above); a quotient of roots does not underflow
-    return math.sqrt(abs(gamma - g0)) / math.sqrt(abs(j))
+    return _finite(math.sqrt(abs(gamma - g0)) / math.sqrt(abs(j)), "%s critical coupling" % side)
 
 
 def mu_left(gamma: float, v: VFunction) -> float:
@@ -137,7 +148,7 @@ def gamma_star(i: int, v: VFunction) -> float:
     g_hi, j_hi = _threshold_terms(v, "lambda:%d" % i)
     if not (j_lo > 0.0 and j_hi < 0.0):
         raise ZeroCoupling("threshold integrals vanish; no coupling crossover")
-    return (g_hi * j_lo - g_lo * j_hi) / (j_lo - j_hi)
+    return _finite((g_hi * j_lo - g_lo * j_hi) / (j_lo - j_hi), "coupling crossover gamma_star")
 
 
 @dataclass(frozen=True)

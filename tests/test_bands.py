@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from friedrichs3d import determinant
 from friedrichs3d.bands import (
     ESSENTIAL_BAND,
     BandStructure,
@@ -140,6 +141,17 @@ def test_batched_fibers_match_single_fiber_solves(v_cos_half):
             assert (got is None) == (want is None)
             if got is not None:
                 assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_lockstep_grouping_changes_neither_rows_nor_iterations(monkeypatch):
+    # rows step on their own, so a group cap changes only how many rows share a step
+    v = parse_v("0.9 + 0.3*sin(p1) + 0.2*sin(2*p2) + 0.25*cos(p2)*sin(p3) + 0.1*sin(p3)")
+    params = ModelParams(gamma=3.0, mu=0.1)
+    whole = assemble_bands(params, v, resolution=4)
+    monkeypatch.setattr(determinant, "_ROWS_PER_GROUP", 6)
+    grouped = assemble_bands(params, v, resolution=4)
+    assert np.array_equal(grouped.eigen_branches, whole.eigen_branches, equal_nan=True)
+    assert grouped.root_iterations == whole.root_iterations
 
 
 def test_endpoints_stable_under_grid_refinement(v_one):

@@ -313,12 +313,33 @@ def test_verify_rejects_a_bad_tolerance(run_cli, tmp_path, tol):
         ("classify", "--gamma", "2", "--mu", "0.5", "--point", "lambda:11"),
         ("scan-gamma", "--gamma-min", "5", "--gamma-max", "2"),
         ("scan-gamma", "--gamma-min", "-1", "--gamma-max", "8"),
+        # mu^2 overflows
+        ("spectrum", "--gamma", "2", "--mu", "2e154", "--v", "1", "--k", "0.5,0,0"),
+        ("bands", "--gamma", "2", "--mu", "1e200", "--v", "1"),
+        ("classify", "--gamma", "2", "--mu", "1e200", "--v", "1", "--point", "origin"),
+        ("verify", "--gamma", "2", "--mu", "1e200", "--v", "1", "--k", "0,0,0"),
     ],
 )
 def test_validation_failures_exit_two(run_cli, argv):
     code, out, err = run_cli(*argv)
     assert code == 2
     assert err.strip()  # a diagnostic lands on stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("critical", "--gamma", "2", "--v", "1e200"),
+        ("critical", "--gamma", "2", "--v", "1e153"),
+        ("classify", "--gamma", "2", "--mu", "1", "--v", "1e200", "--point", "origin"),
+    ],
+)
+def test_overflowing_threshold_quantities_exit_three(run_cli, argv):
+    # every threshold integral, coupling and crossover is finite in exact
+    # arithmetic: at v = 1e200 the integrals overflow, at 1e153 gamma_star does
+    code, out, err = run_cli(*argv)
+    assert code == 3
+    assert out == "" and "numerical failure" in err
 
 
 def test_numerical_failure_exits_three(run_cli, monkeypatch):

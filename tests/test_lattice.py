@@ -59,12 +59,12 @@ _MOMENTUM_TAKERS = {
 }
 
 
-# reduce_coords and band_endpoints take an (n, 3) batch by design
+# reduce_coords, band_endpoints and ResolventKernel take an (n, 3) batch by design
 _REFUSALS = [
     (taker, bad)
     for taker in _MOMENTUM_TAKERS
     for bad in _BAD_MOMENTA
-    if not (bad == "batch" and taker in ("reduce_coords", "band_endpoints"))
+    if not (bad == "batch" and taker in ("reduce_coords", "band_endpoints", "ResolventKernel"))
 ]
 
 

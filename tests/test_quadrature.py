@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from friedrichs3d import quadrature
+from friedrichs3d import quadrature, thresholds
+from friedrichs3d.bands import assemble_bands
+from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
 from friedrichs3d.lattice import ORIGIN, PI_POINT, lambda_point, reduce_coords
-from friedrichs3d.quadrature import NonConvergence, ResolventKernel, _KernelBatch, resolvent_integral_2d
-from friedrichs3d.thresholds import threshold_integral
+from friedrichs3d.quadrature import NonConvergence, ResolventKernel, resolvent_integral_2d
+from friedrichs3d.thresholds import critical_couplings, threshold_integral
 from friedrichs3d.vfunction import VFunction, parse_v
 
 from oracles import (
@@ -207,22 +209,77 @@ def test_batched_kernel_build_is_bit_identical_to_a_batch_of_one(rng):
     v = parse_v("0.9 + 0.2 * cos(p1) - 0.3 * sin(2*p2) + 0.25 * cos(p2) * cos(p3)")
     points = [ORIGIN, PI_POINT, lambda_point(3), (np.pi, 0.3, -1.1)]
     points += [rng.uniform(-np.pi, np.pi, 3) for _ in range(8)]
-    batch = _KernelBatch(v, reduce_coords(points))
-    kernels = batch.kernels((0, 1))
-    rows = np.arange(2 * len(points))
+    n = len(points)
+    batch = ResolventKernel(v, points)
+    kernels = batch.rows(np.tile(np.arange(n), 2), np.repeat([0, 1], n))
+    rows = np.arange(2 * n)
     delta = np.linspace(0.0, 40.0, rows.size)
     values = kernels.integrals(rows, delta)
+    below = batch.integral_below(batch.m - delta[:n])
+    above = batch.integral_above(batch.M + delta[n:])
+    assert below.shape == above.shape == (n,)
     for i, p in enumerate(points):
         one = ResolventKernel(v, p)
-        for name in ("m", "M", "eps", "d_free"):
-            assert getattr(batch, name)[i] == getattr(one._batch, name)[0]
+        assert (batch.m[i], batch.M[i]) == (one.m, one.M)
+        pair = one.rows([0, 0], [0, 1])
+        assert pair.v_norm == kernels.v_norm
         for side in (0, 1):
-            r = side * len(points) + i
-            for name in ("A", "B", "d_free"):
-                assert getattr(kernels, name)[r] == getattr(one._kernels, name)[side]
-            assert np.array_equal(kernels.dot[r], one._kernels.dot[side])
-            alone = one._kernels.integrals(np.array([side]), delta[r : r + 1])
+            r = side * n + i
+            for name in ("edge", "eps", "A", "B", "d_free"):
+                assert getattr(kernels, name)[r] == getattr(pair, name)[side]
+            assert np.array_equal(kernels.dot[r], pair.dot[side])
+            alone = pair.integrals(np.array([side]), delta[r : r + 1])
             assert alone[0] == values[r]
+        assert below[i] == one.integral_below(batch.m[i] - delta[i])
+        assert above[i] == one.integral_above(batch.M[i] + delta[n + i])
+
+
+def test_kernel_follows_the_leading_shape_of_its_momenta(v_cos_half):
+    grid = reduce_coords(np.linspace(-3.0, 3.0, 12).reshape(2, 2, 3))
+    kernel = ResolventKernel(v_cos_half, grid)
+    assert kernel.m.shape == kernel.M.shape == (2, 2)
+    assert kernel.integral_below(kernel.m).shape == (2, 2)
+    # z broadcasts to the leading shape
+    assert np.array_equal(kernel.integral_above(14.0), kernel.integral_above(np.full((2, 2), 14.0)))
+    one = ResolventKernel(v_cos_half, grid[1, 0])
+    assert type(one.m) is float and type(one.integral_below(one.m - 1.0)) is float
+    assert kernel.integral_below(kernel.m - 1.0)[1, 0] == one.integral_below(one.m - 1.0)
+    with pytest.raises(ValueError):
+        kernel.integral_below(np.full(3, -1.0))
+    # an empty batch builds and evaluates nothing
+    empty = ResolventKernel(v_cos_half, np.empty((0, 3)))
+    assert empty.m.shape == empty.integral_above(empty.M).shape == (0,)
+    assert empty.rows([], []).dot.shape == (0, quadrature._laplace_nodes()[0].size)
+
+
+def test_every_kernel_user_builds_one_kernel_per_batch(monkeypatch, v_one):
+    built = []
+    init = ResolventKernel.__init__
+
+    def counted(self, v, k):
+        built.append(np.shape(k))
+        init(self, v, k)
+
+    monkeypatch.setattr(ResolventKernel, "__init__", counted)
+    params = ModelParams(gamma=-1.5, mu=0.5)
+    find_discrete_spectrum(params, v_one, (0.5, 0.1, -0.8))
+    assert built == [(1, 3)]
+    # one kernel for the grid and one for the refinement pass, empty here
+    built.clear()
+    structure = assemble_bands(params, v_one, 8)
+    assert len(structure.eigen_branches) == 8 ** 3 + 10
+    assert built == [(structure.fibers_solved, 3), (0, 3)]
+    built.clear()
+    structure = assemble_bands(ModelParams(gamma=8.0, mu=0.3), parse_v("1 - cos(p1)"), 4)
+    assert len(built) == 2 and built[1][0] > 0
+    assert sum(n for n, _ in built) == structure.fibers_solved
+    # one per threshold point per v: the nine integrals are cached after that
+    built.clear()
+    thresholds._threshold_integral_cached.cache_clear()
+    v = parse_v("1 + 0.25 * cos(p1) * sin(p2)")
+    critical_couplings(2.0, v)
+    critical_couplings(3.0, v)
+    assert len(built) == 9
 
 
 @pytest.mark.parametrize(
@@ -230,7 +287,7 @@ def test_batched_kernel_build_is_bit_identical_to_a_batch_of_one(rng):
 )
 def test_kernel_slope_is_the_derivative_of_the_integral(v_cos_half, kcoords):
     # the solver's Newton slope, for d = 3, 2, 1, 0 free axes
-    kernels = ResolventKernel(v_cos_half, kcoords)._kernels
+    kernels = ResolventKernel(v_cos_half, kcoords).rows([0, 0], [0, 1])
     for side in (0, 1):
         for delta in (1e-3, 0.5, 5.0):
             h = 1e-4 * delta
