@@ -462,7 +462,7 @@ def main(argv=None) -> int:
             parser.error("--config reruns a report and takes no command")
         try:
             config, config_argv = _load_config(args.config)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # json.load recurses per nesting level
             print("error: cannot load config: %s" % exc, file=sys.stderr)
             return 2
         # bad values exit 2 here, as they do on the command line

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .determinant import ModelParams
-from .lattice import reduce_coords, threshold_point
+from .lattice import ORIGIN, lambda_points, reduce_coords, threshold_point
 from .quadrature import ResolventKernel
 from .vfunction import VFunction
 
@@ -50,8 +50,8 @@ __all__ = [
 
 _MATCH_RTOL = 1e-8
 _VANISH_TOL = 1e-12
-# one request works on one v, which has nine threshold integrals
-_CACHE_SIZE = 9
+# one request works on one v: fresh v must not pile up in the cache
+_CACHE_SIZE = 4
 # per threshold label: the side's name, g0, and the factor j / threshold_integral
 _CONVENTION = {"origin": ("lower", 0.0, 0.5), "lambda": ("upper", 9.0, -1.0)}
 
@@ -76,13 +76,14 @@ def _finite(value: float, what: str) -> float:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _threshold_integral_cached(v: VFunction, label: str, point: tuple) -> float:
+def _threshold_integrals(v: VFunction) -> tuple:
+    """I_min, then I_max at each Lambda point in order, from one kernel over the nine momenta."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        kernel = ResolventKernel(v, point)
+        kernel = ResolventKernel(v, (ORIGIN,) + lambda_points())
         # w1(0, .) = 2 eps, so int v^2/eps is twice the lower edge limit
-        lower = label == "origin"
-        value = 2.0 * kernel.integral_below(kernel.m) if lower else kernel.integral_above(kernel.M)
-    return _finite(value, "%s threshold integral" % label)
+        values = [2.0 * kernel.integral_below(kernel.m).tolist()[0]] + kernel.integral_above(kernel.M).tolist()[1:]
+    labels = ["origin"] + ["lambda"] * 8
+    return tuple(_finite(x, "%s threshold integral" % label) for x, label in zip(values, labels))
 
 
 def threshold_integral(v: VFunction, which: str) -> float:
@@ -92,8 +93,8 @@ def threshold_integral(v: VFunction, which: str) -> float:
     eps(t)) at a Lambda point k, both exact edge limits of the fiber's
     resolvent kernel (z = 0 at k = 0, z = 27/2 on Lambda).
     """
-    label, _, point = threshold_point(which)
-    return _threshold_integral_cached(v, label, point)
+    _, index, _ = threshold_point(which)
+    return _threshold_integrals(v)[index or 0]
 
 
 def _threshold_terms(v: VFunction, which: str):
@@ -115,10 +116,13 @@ def fredholm_delta_threshold(params: ModelParams, v: VFunction, which: str) -> f
 def _mu_critical(gamma: float, v: VFunction, which: str) -> float:
     """The mu = sqrt((gamma - g0)/j) where Delta_thr vanishes.
 
-    Raises DomainError when gamma lies on the wrong side of g0 (decided
-    before any integral), then ZeroCoupling when j vanishes.
+    Raises ValueError for a non-finite gamma and DomainError when gamma
+    lies on the wrong side of g0 (both decided before any integral), then
+    ZeroCoupling when j vanishes.
     """
     side, g0, scale = _CONVENTION[threshold_point(which)[0]]
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite, got %r" % gamma)
     sign = math.copysign(1.0, scale)
     if not sign * (gamma - g0) > 0.0:
         raise DomainError(

@@ -8,10 +8,19 @@ with the per-axis basis b(0, x) = 1, b(n, x) = cos(n x) for n > 0 and
 b(n, x) = sin(|n| x) for n < 0.  Harmonic orders are capped at 4 so that
 parsed expressions stay small; products use exact product-to-sum
 identities, so all algebra (and differentiation) is closed and exact.
+
+`parse_v` reads int and float literals, binary + - *, unary signs,
+parentheses and cos(pj), sin(pj), cos(n*pj), sin(n*pj) with j in 1..3 and
+n an integer in 1..4.  It checks the characters, then walks the tree of
+Python's own `ast` parser and applies one VFunction operation per node,
+left to right.
 """
 
 from __future__ import annotations
 
+import ast
+import cmath
+import operator
 import re
 from functools import lru_cache
 
@@ -285,129 +294,66 @@ def _squared_exp_cached(v: VFunction):
         for kb, cb in base:
             kk = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
             acc[kk] = acc.get(kk, 0.0j) + ca * cb
-    return tuple(sorted((k, c) for k, c in acc.items() if abs(c) > 1e-300))
+    if not all(map(cmath.isfinite, acc.values())):
+        raise ValueError("the coefficients of v^2 overflow")
+    return tuple(sorted((k, c) for k, c in acc.items() if c != 0.0))
 
 
 # ---------------------------------------------------------------------------
 # Expression parser: numbers, + - *, cos(n*pj)/sin(n*pj), parentheses.
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>cos|sin|p1|p2|p3)"
-    r"|(?P<op>[+\-*()]))"
-)
+# anything else (`_`, hex, `j`, `/`, commas, other names) is refused up front
+_ALPHABET = re.compile(r"(?:[\s0-9.eE+\-*()]|cos|sin|p[123])*")
+# Python refuses leading zeros on integer literals, but "01" reads as 1
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=[0-9])")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_SIGN = {ast.UAdd: lambda v: v, ast.USub: operator.neg}
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise VParseError("unexpected character %r at position %d" % (text[pos], pos))
-        if m.lastgroup == "num":
-            out.append(("num", m.group("num")))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
-    out.append(("end", ""))
-    return out
+def _number(node):
+    """The value of an int or float literal, else None."""
+    return float(node.value) if isinstance(node, ast.Constant) and type(node.value) in (int, float) else None
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+def _trig(node: ast.Call) -> VFunction:
+    """cos(pj), sin(pj), cos(n*pj) or sin(n*pj) with n in 1..MAX_HARMONIC."""
+    arg = node.args[0] if len(node.args) == 1 else None
+    n = 1.0
+    if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult) and _number(arg.left) is not None:
+        n, arg = _number(arg.left), arg.right
+        if n not in range(1, MAX_HARMONIC + 1):
+            raise VParseError("harmonic multiplier must be an integer in 1..%d, got %r" % (MAX_HARMONIC, n))
+    if not (isinstance(arg, ast.Name) and arg.id in ("p1", "p2", "p3")):
+        raise VParseError("expected p1, p2, p3 or n*pj inside %s(...)" % node.func.id)
+    return VFunction.axis_mode(int(arg.id[1]) - 1, int(n) if node.func.id == "cos" else -int(n))
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise VParseError("expected %s, found %r" % (kind, tok[1] or "end of input"))
-        if value is not None and tok[1] != value:
-            raise VParseError("expected %r, found %r" % (value, tok[1] or "end of input"))
-        self.i += 1
-        return tok
-
-    def parse(self) -> VFunction:
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise VParseError("trailing input from %r" % self.peek()[1])
-        return node
-
-    def expr(self) -> VFunction:
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take("op")[1]
-            rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def term(self) -> VFunction:
-        node = self.unary()
-        while self.peek() == ("op", "*"):
-            self.take("op", "*")
-            node = node * self.unary()
-        return node
-
-    def unary(self) -> VFunction:
-        if self.peek() == ("op", "-"):
-            self.take("op", "-")
-            return -self.unary()
-        if self.peek() == ("op", "+"):
-            self.take("op", "+")
-            return self.unary()
-        return self.primary()
-
-    def primary(self) -> VFunction:
-        kind, val = self.peek()
-        if kind == "num":
-            self.take("num")
-            return VFunction.constant(float(val))
-        if kind == "name" and val in ("cos", "sin"):
-            return self.trig()
-        if kind == "op" and val == "(":
-            self.take("op", "(")
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        raise VParseError("expected a number, cos/sin or '(', found %r" % (val or "end of input"))
-
-    def trig(self) -> VFunction:
-        fname = self.take("name")[1]
-        self.take("op", "(")
-        mult = 1
-        kind, val = self.peek()
-        if kind == "num":
-            self.take("num")
-            f = float(val)
-            mult = int(f)
-            if mult != f or not 1 <= mult <= MAX_HARMONIC:
-                raise VParseError(
-                    "harmonic multiplier must be an integer in 1..%d, got %r" % (MAX_HARMONIC, val)
-                )
-            self.take("op", "*")
-        name = self.take("name")[1]
-        if name not in ("p1", "p2", "p3"):
-            raise VParseError("expected p1, p2 or p3 inside %s(...)" % fname)
-        self.take("op", ")")
-        axis = int(name[1]) - 1
-        return VFunction.axis_mode(axis, mult if fname == "cos" else -mult)
+def _build(node) -> VFunction:
+    """The VFunction of an expression tree, one operation per node, left to right."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_build(node.left), _build(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGN:
+        return _SIGN[type(node.op)](_build(node.operand))
+    if (value := _number(node)) is not None:
+        return VFunction.constant(value)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("cos", "sin"):
+        return _trig(node)
+    raise VParseError("unsupported term %r" % ast.unparse(node))
 
 
 def parse_v(text: str) -> VFunction:
     """Parse an expression like "1 - 0.5*cos(p1) + 0.25*sin(2*p3)" into a VFunction."""
     if not isinstance(text, str) or not text.strip():
         raise VParseError("empty coupling-function expression")
+    end = _ALPHABET.match(text).end()
+    if end < len(text):
+        raise VParseError("unexpected character %r at position %d" % (text[end], end))
     try:
-        return _Parser(_tokenize(text)).parse()
-    except VParseError:
-        raise
-    except ValueError as exc:
+        return _build(ast.parse(_LEADING_ZEROS.sub("", " ".join(text.split())), mode="eval").body)
+    except SyntaxError as exc:
+        raise VParseError("malformed expression: %s" % exc.msg) from None
+    except (RecursionError, MemoryError):  # CPython 3.11's parser overflows with MemoryError
+        raise VParseError("expression nested too deeply") from None
+    except (ValueError, OverflowError) as exc:  # a coefficient or harmonic out of range
         raise VParseError(str(exc)) from None

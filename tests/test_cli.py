@@ -318,6 +318,17 @@ def test_verify_rejects_a_bad_tolerance(run_cli, tmp_path, tol):
         ("bands", "--gamma", "2", "--mu", "1e200", "--v", "1"),
         ("classify", "--gamma", "2", "--mu", "1e200", "--v", "1", "--point", "origin"),
         ("verify", "--gamma", "2", "--mu", "1e200", "--v", "1", "--k", "0,0,0"),
+        # nested deeper than the parser takes
+        ("spectrum", "--gamma", "1", "--mu", "0.5", "--k", "0,0,0", "--v", "(" * 400 + "1" + ")" * 400),
+        ("spectrum", "--gamma", "1", "--mu", "0.5", "--k", "0,0,0", "--v=" + "-" * 1200 + "1"),
+        # critical takes gamma without building ModelParams
+        ("critical", "--gamma", "nan"),
+        ("critical", "--gamma", "inf"),
+        # v^2 overflows
+        ("spectrum", "--gamma", "2", "--mu", "0.5", "--v", "1e200", "--k", "0.5,0,0"),
+        ("bands", "--gamma", "2", "--mu", "0.5", "--v", "1e200", "--resolution", "4"),
+        ("critical", "--gamma", "2", "--v", "1e200"),
+        ("classify", "--gamma", "2", "--mu", "1", "--v", "1e200", "--point", "origin"),
     ],
 )
 def test_validation_failures_exit_two(run_cli, argv):
@@ -329,17 +340,26 @@ def test_validation_failures_exit_two(run_cli, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("critical", "--gamma", "2", "--v", "1e200"),
         ("critical", "--gamma", "2", "--v", "1e153"),
-        ("classify", "--gamma", "2", "--mu", "1", "--v", "1e200", "--point", "origin"),
+        ("critical", "--gamma", "2", "--v", "1.3e153"),
+        ("classify", "--gamma", "2", "--mu", "1", "--v", "1.3e153", "--point", "origin"),
     ],
 )
 def test_overflowing_threshold_quantities_exit_three(run_cli, argv):
     # every threshold integral, coupling and crossover is finite in exact
-    # arithmetic: at v = 1e200 the integrals overflow, at 1e153 gamma_star does
+    # arithmetic: at v = 1e153 gamma_star overflows, at 1.3e153 the origin
+    # integral does, though v^2 = 1.69e306 is finite
     code, out, err = run_cli(*argv)
     assert code == 3
     assert out == "" and "numerical failure" in err
+
+
+def test_deeply_nested_config_exits_two(run_cli, tmp_path):
+    config = tmp_path / "nested.json"
+    config.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli("--config", str(config))
+    assert code == 2
+    assert out == "" and "cannot load config" in err
 
 
 def test_numerical_failure_exits_three(run_cli, monkeypatch):

@@ -273,13 +273,13 @@ def test_every_kernel_user_builds_one_kernel_per_batch(monkeypatch, v_one):
     structure = assemble_bands(ModelParams(gamma=8.0, mu=0.3), parse_v("1 - cos(p1)"), 4)
     assert len(built) == 2 and built[1][0] > 0
     assert sum(n for n, _ in built) == structure.fibers_solved
-    # one per threshold point per v: the nine integrals are cached after that
+    # one for the nine threshold points of a v: its integrals are cached after that
     built.clear()
-    thresholds._threshold_integral_cached.cache_clear()
+    thresholds._threshold_integrals.cache_clear()
     v = parse_v("1 + 0.25 * cos(p1) * sin(p2)")
     critical_couplings(2.0, v)
     critical_couplings(3.0, v)
-    assert len(built) == 9
+    assert built == [(9, 3)]
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ def test_caches_hold_a_bounded_working_set(rng):
         threshold_integral(v, "lambda:%d" % rng.integers(1, 9))
     assert vfunction._exp_coeffs_cached.cache_info().currsize <= vfunction._CACHE_SIZE
     assert vfunction._squared_exp_cached.cache_info().currsize <= vfunction._CACHE_SIZE
-    assert thresholds._threshold_integral_cached.cache_info().currsize <= thresholds._CACHE_SIZE
+    assert thresholds._threshold_integrals.cache_info().currsize <= thresholds._CACHE_SIZE
 
 
 def test_critical_coupling_domains(v_one):
@@ -83,6 +83,14 @@ def test_left_coupling_survives_subnormal_gamma(v_one, gamma):
     assert mu > 0.0
     j = 0.5 * threshold_integral(v_one, "origin")
     assert mu * np.sqrt(j) == pytest.approx(np.sqrt(gamma), rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e100])
+def test_left_coupling_scales_inversely_with_v(v_one, v_cos_half, c):
+    # j scales as v^2, so mu_left(gamma, c v) = mu_left(gamma, v)/c; at
+    # c = 1e-150 the coefficients of v^2 are about 1e-300 and must be kept
+    for v in (v_one, v_cos_half):
+        assert mu_left(2.0, c * v) == pytest.approx(mu_left(2.0, v) / c, rel=1e-13)
 
 
 def test_eightfold_symmetry_of_right_couplings(v_one, v_one_minus_cos):

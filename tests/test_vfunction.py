@@ -1,5 +1,9 @@
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friedrichs3d.lattice import ORIGIN, lambda_point, reduce_coords
 from friedrichs3d.vfunction import MAX_HARMONIC, VFunction, VParseError, parse_v
@@ -118,11 +122,85 @@ def test_harmonic_cap_enforced():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "cos(p1", "cos(q1)", "1 +", "* cos(p1)", "cos(p1) cos(p2)", "2 ** 3", "sin()", "cos(0*p1)"],
+    [
+        "", "cos(p1", "cos(q1)", "1 +", "* cos(p1)", "cos(p1) cos(p2)", "2 ** 3", "sin()", "cos(0*p1)",
+        "p1", "1_0", "0x1", "1j", "2**3", "1/2", "True", "...", "cos(p1,)", "cos(p1*2)", "cos(5*p1)",
+        "cos(2.5*p1)", "1(2)", "cos(1e999*p1)",
+        pytest.param("(" * 250 + "1" + ")" * 250, id="250 nested parentheses"),
+        pytest.param("-" * 5000 + "1", id="5000 minus signs"),
+        pytest.param("-" * 100000 + "1", id="100000 minus signs"),
+    ],
 )
 def test_parser_rejects_malformed_input(bad):
     with pytest.raises(VParseError):
         parse_v(bad)
+
+
+def test_parser_takes_trailing_whitespace_and_redundant_parentheses():
+    assert parse_v("1 - cos(p1) ") == parse_v("1 - cos(p1)")
+    assert parse_v("cos((2*p1)) * sin((p3))") == parse_v("cos(2*p1) * sin(p3)")
+
+
+_WS = st.sampled_from(["", " ", "  ", "\t", "\n", " \n\t", "\r\n"])
+_PREC = {"+": 1, "-": 1, "*": 2}  # unary signs bind at 3, atoms at 4
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_MULTIPLIERS = ("%d", "0%d", "%d.0", "%d.", "%de0", "%d.00E+00")
+
+
+def _apply(op, *args):
+    """op(*args), or None (the parser must refuse) when an argument is None or op refuses."""
+    if any(a is None for a in args):
+        return None
+    try:
+        return op(*args)
+    except ValueError:  # a harmonic beyond the cap
+        return None
+
+
+@st.composite
+def _numbers(draw):
+    text = draw(st.from_regex(r"(0*[0-9]{1,3}(\.[0-9]{0,3})?|\.[0-9]{1,3})([eE][+-]?0?[0-9])?", fullmatch=True))
+    return text, 4, VFunction.constant(float(text))
+
+
+@st.composite
+def _trig_terms(draw):
+    name, axis = draw(st.sampled_from(["cos", "sin"])), draw(st.integers(1, 3))
+    n = draw(st.integers(1, MAX_HARMONIC))
+    form = draw(st.sampled_from(_MULTIPLIERS + ((None,) if n == 1 else ())))
+    ws = [draw(_WS) for _ in range(5)]
+    arg = "p%d" % axis if form is None else (form % n) + ws[0] + "*" + ws[1] + "p%d" % axis
+    return name + ws[2] + "(" + ws[3] + arg + ws[4] + ")", 4, VFunction.axis_mode(axis - 1, n if name == "cos" else -n)
+
+
+@st.composite
+def _compound(draw, children):
+    kind = draw(st.sampled_from(["binary", "unary", "parens"]))
+    text, prec, value = draw(children)
+    if kind == "parens":
+        return "(" + draw(_WS) + text + draw(_WS) + ")", 4, value
+    if kind == "unary":
+        sign = draw(st.sampled_from("+-"))
+        text = text if prec >= 3 else "(" + text + ")"
+        return sign + draw(_WS) + text, 3, _apply(operator.neg if sign == "-" else (lambda x: x), value)
+    op = draw(st.sampled_from("+-*"))
+    right, right_prec, right_value = draw(children)
+    left = text if prec >= _PREC[op] else "(" + text + ")"  # + - * associate to the left
+    right = right if right_prec > _PREC[op] else "(" + right + ")"
+    return left + draw(_WS) + op + draw(_WS) + right, _PREC[op], _apply(_OPS[op], value, right_value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.recursive(_numbers() | _trig_terms(), _compound, max_leaves=12), _WS, _WS)
+def test_parser_builds_the_expression_it_reads(expression, lead, trail):
+    # the expected v applies the same operations to the same operands, so
+    # the terms must agree exactly, coefficients bit for bit
+    text, _, expected = expression
+    if expected is None:
+        with pytest.raises(VParseError):
+            parse_v(lead + text + trail)
+    else:
+        assert parse_v(lead + text + trail) == expected
 
 
 def test_round_trip_serialization():
