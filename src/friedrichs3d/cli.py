@@ -300,8 +300,6 @@ def _cmd_classify(cfg: RunConfig, v: VFunction):
         "v_at_point": report.v_at_point,
         "local_exponent": report.local_exponent,
         "in_l2": report.in_l2,
-        "f0": report.f0,
-        "f1_samples": [[list(q), val] for q, val in report.f1_samples],
     }
     diagnostics = {
         "residuals": {"eigensystem_first": abs(fredholm_delta_threshold(params, v, cfg.point))}

@@ -17,9 +17,11 @@ crossover gamma_star is where two of them coincide.
 At the critical coupling the threshold solution psi = (1, f1) with
 f1(q) = -mu v(q) / (w1(k, q) - z0) is square-integrable iff v vanishes
 at the singular point.  The verdict reads that dichotomy off |v| at the
-point (below 1e-12).  The report's local exponent is the exact vanishing
-order q of v there, read from exact derivatives of the trigonometric
-polynomial: |f1| ~ r^{q-2} near the point, so f1 is in L^2 iff q >= 1.
+point, which counts as zero below 1e-12 times the sum of |coefficients|
+of v, so the verdict does not change when v is scaled.  The report's
+local exponent is the exact vanishing order q of v there, read from
+exact derivatives of the trigonometric polynomial: |f1| ~ r^{q-2} near
+the point, so f1 is in L^2 iff q >= 1.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .determinant import ModelParams
-from .lattice import ORIGIN, lambda_points, reduce_coords, threshold_point
+from .lattice import ORIGIN, lambda_points, threshold_point
 from .quadrature import ResolventKernel
 from .vfunction import VFunction
 
@@ -80,8 +82,11 @@ def _threshold_integrals(v: VFunction) -> tuple:
     """I_min, then I_max at each Lambda point in order, from one kernel over the nine momenta."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         kernel = ResolventKernel(v, (ORIGIN,) + lambda_points())
-        # w1(0, .) = 2 eps, so int v^2/eps is twice the lower edge limit
-        values = [2.0 * kernel.integral_below(kernel.m).tolist()[0]] + kernel.integral_above(kernel.M).tolist()[1:]
+        # one row per momentum at its threshold: the lower edge at the
+        # origin, the upper edge on Lambda; both edge limits sit at delta = 0
+        fiber = np.arange(9)
+        values = kernel.rows(fiber, fiber > 0).integrals(fiber, np.zeros(9)).tolist()
+        values[0] *= 2.0  # w1(0, .) = 2 eps, so int v^2/eps is twice the lower edge limit
     labels = ["origin"] + ["lambda"] * 8
     return tuple(_finite(x, "%s threshold integral" % label) for x, label in zip(values, labels))
 
@@ -183,54 +188,6 @@ def critical_couplings(gamma: float, v: VFunction) -> CriticalCouplings:
 # ---------------------------------------------------------------------------
 
 
-def _denominator_for(label: str, point: tuple):
-    """The operator denominator w1 - z0 at the threshold, with its quadratic zero."""
-    if label == "origin":
-
-        def den(qx, qy, qz):
-            return 2.0 * (3.0 - np.cos(qx) - np.cos(qy) - np.cos(qz))
-
-        return den
-    k1, k2, k3 = point
-
-    def den(qx, qy, qz):
-        # w1 - 27/2 = eps(k+q) + eps(q) - 9: nonpositive, quadratic zero at q = k
-        return -(
-            3.0
-            + np.cos(k1 + qx)
-            + np.cos(qx)
-            + np.cos(k2 + qy)
-            + np.cos(qy)
-            + np.cos(k3 + qz)
-            + np.cos(qz)
-        )
-
-    return den
-
-
-def _samples_off_zero_set(v: VFunction, label: str, point: tuple, seed: int, n: int):
-    """The first n uniform momenta q with |w1 - z0| >= 1e-6, drawn from `seed`.
-
-    Rows come in blocks from one stream, so they are the momenta a loop
-    drawing one q at a time from the same seed would keep.  Returns the
-    raw draws (rows), v at their reduced coordinates, and w1 - z0 there.
-    """
-    den = _denominator_for(label, point)
-    rng = np.random.default_rng(seed)
-    qs, ds = [np.empty((0, 3))], [np.empty(0)]
-    while sum(len(d) for d in ds) < n:
-        q = rng.uniform(-np.pi, np.pi, size=(n, 3))
-        d = den(q[:, 0], q[:, 1], q[:, 2])
-        keep = np.abs(d) >= 1e-6  # skip the measure-zero-ish neighborhood of the zero set
-        qs.append(q[keep])
-        ds.append(d[keep])
-    q = np.concatenate(qs)[:n]
-    d = np.concatenate(ds)[:n]
-    p = reduce_coords(q)
-    vv = np.broadcast_to(np.asarray(v.evaluate(p[:, 0], p[:, 1], p[:, 2]), dtype=float), (n,))
-    return q, vv, d
-
-
 @dataclass(frozen=True)
 class ThresholdReport:
     """Outcome of classifying one threshold at given model parameters."""
@@ -241,8 +198,6 @@ class ThresholdReport:
     v_at_point: float
     local_exponent: float
     in_l2: bool
-    f0: float
-    f1_samples: tuple  # (reduced momentum as a 3-tuple, f1 there) pairs
 
 
 def classify_threshold(params: ModelParams, v: VFunction, point: str) -> ThresholdReport:
@@ -252,16 +207,15 @@ def classify_threshold(params: ModelParams, v: VFunction, point: str) -> Thresho
     threshold carries an eigenvalue when v vanishes at the singular point
     and a virtual level (resonance) otherwise; away from criticality the
     verdict is "none".  The local exponent is the exact vanishing order q
-    of v at the point (0 when |v| there is not below 1e-12): f1 ~ r^{q-2},
-    so f1 is square-integrable near the point iff q >= 1.  The report
-    carries the candidate solution data: f0 = 1 and pointwise samples of
-    f1 = -mu v / (w1 - z0).
+    of v at the point (0 when |v| there is not below 1e-12 times the sum
+    of |coefficients| of v): f1 = -mu v / (w1 - z0) ~ r^{q-2}, so f1 is
+    square-integrable near the point iff q >= 1.
     """
-    label, _, pt = threshold_point(point)
+    _, _, pt = threshold_point(point)
     mu_c = _mu_critical(params.gamma, v, point)
     matched = abs(params.mu - mu_c) <= _MATCH_RTOL * mu_c
     v_at = v(pt)
-    vanishes = abs(v_at) < _VANISH_TOL
+    vanishes = abs(v_at) < _VANISH_TOL * v._coefficient_bound()
     # the q = 0 test of `vanishing_order` is looser, so a vanishing v has order >= 1
     order = v.vanishing_order(pt) if vanishes else 0
     if order is None:
@@ -274,10 +228,6 @@ def classify_threshold(params: ModelParams, v: VFunction, point: str) -> Thresho
     else:
         verdict = "virtual_level"
 
-    q, vv, d = _samples_off_zero_set(v, label, pt, 12345, 100)
-    f1 = -params.mu * vv / d
-    samples = [(tuple(k), f) for k, f in zip(reduce_coords(q).tolist(), f1.tolist())]
-
     return ThresholdReport(
         point=point,
         verdict=verdict,
@@ -285,6 +235,4 @@ def classify_threshold(params: ModelParams, v: VFunction, point: str) -> Thresho
         v_at_point=v_at,
         local_exponent=float(order),
         in_l2=order >= 1,
-        f0=1.0,
-        f1_samples=tuple(samples),
     )

@@ -224,8 +224,9 @@ class VFunction:
                 no_12 = no_12 * modes[:, 2]
                 no_1 = np.vstack([no_1 * modes[:, 1], no_12])
                 rows = np.vstack([rows * modes[:, 0], no_1])
-            # the row sums are d^alpha v(point) / i^q
-            scale = max(1.0, bound * MAX_HARMONIC ** q)
+            # the row sums are d^alpha v(point) / i^q, bounded by bound * 4^q:
+            # the test is relative, so scaling v leaves the order unchanged
+            scale = bound * MAX_HARMONIC ** q
             if np.max(np.abs(rows.sum(axis=1))) > 1e-9 * scale:
                 return q
         return None

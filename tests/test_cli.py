@@ -94,11 +94,6 @@ def test_bands_csv_writes_plain_floats(run_cli):
             lambda res: [res["k"]],
             id="verify",
         ),
-        pytest.param(
-            ("classify", "--gamma", "2", "--mu", "1", "--point", "lambda:3"),
-            lambda res: [q for q, _ in res["f1_samples"]],
-            id="classify",
-        ),
     ],
 )
 def test_report_momenta_are_python_floats(run_cli, monkeypatch, argv, momenta):
@@ -214,7 +209,6 @@ def test_classify_reports_verdict(run_cli):
     res = json.loads(out)["results"]
     assert res["verdict"] == "eigenvalue"
     assert res["in_l2"] is True
-    assert len(res["f1_samples"]) == 100
     diag = json.loads(out)["diagnostics"]["residuals"]
     assert diag["eigensystem_first"] < 1e-6
 
@@ -412,7 +406,12 @@ def test_readme_commands_run(run_cli, tmp_path, argv):
     second = tmp_path / "second.json"
     code, _, err = run_cli(*argv, "--output", str(first))
     assert code == 0, err
-    assert json.loads(first.read_text())["command"] == argv[0]
+    report = json.loads(first.read_text())
+    assert report["command"] == argv[0]
+    # reports carry answers and evidence, not bulk: encoding stays cheap
+    assert first.stat().st_size <= 4096
+    if argv[0] == "classify":
+        assert set(report["results"]) == {"point", "verdict", "mu_critical", "v_at_point", "local_exponent", "in_l2"}
     # and its report reruns byte for byte
     code, _, err = run_cli("--config", str(first), "--output", str(second))
     assert code == 0, err

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from friedrichs3d import thresholds, vfunction
 from friedrichs3d.determinant import ModelParams
-from friedrichs3d.lattice import lambda_point, reduce_coords, threshold_point
+from friedrichs3d.lattice import lambda_point, threshold_point
+from friedrichs3d.quadrature import ResolventKernel
 from friedrichs3d.thresholds import (
     DomainError,
     ZeroCoupling,
@@ -179,16 +180,32 @@ def test_classification_verdicts(v_one, v_one_minus_cos):
     assert report.verdict == "eigenvalue"
     assert report.in_l2
     assert report.local_exponent == 2.0
-    assert report.f0 == 1.0
-    assert len(report.f1_samples) == 100
 
 
-def test_classification_refuses_a_v_that_is_zero_to_round_off():
-    # nonzero, so it has a critical coupling, but below every vanishing test
-    v = parse_v("1e-20")
-    params = ModelParams(gamma=2.0, mu=mu_left(2.0, v))
-    with pytest.raises(ZeroCoupling, match="every order"):
-        classify_threshold(params, v, "origin")
+# the four v of demos/threshold_zoo.py: every (origin, Lambda) vanishing pattern
+_ZOO = ["1", "cos(p1) + 0.5", "1 - cos(p1)", "(1 - cos(p1)) * (cos(p1) + 0.5)"]
+
+
+def _verdicts(text):
+    """(verdict, local_exponent) at the origin and at lambda:1, each at its critical coupling."""
+    v = parse_v(text)
+    out = []
+    for which in ("origin", "lambda:1"):
+        report = classify_threshold(ModelParams(gamma=2.0, mu=_critical(2.0, v, which)), v, which)
+        out.append((report.verdict, report.local_exponent))
+    return out
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(text=st.sampled_from(_ZOO), exponent=st.floats(-150.0, 100.0))
+@example(text="1", exponent=-13.0)
+@example(text="1", exponent=-20.0)
+@example(text="cos(p1) + 0.5", exponent=100.0)
+@example(text="(1 - cos(p1)) * (cos(p1) + 0.5)", exponent=-150.0)
+def test_classification_does_not_depend_on_the_size_of_v(text, exponent):
+    # whether v vanishes at the point is a property of v's shape, not its size
+    c = 10.0 ** exponent
+    assert _verdicts("%r * (%s)" % (c, text)) == _verdicts(text)
 
 
 def test_classification_match_tolerance_boundary(v_one):
@@ -198,30 +215,6 @@ def test_classification_match_tolerance_boundary(v_one):
     assert inside.verdict == "virtual_level"
     outside = classify_threshold(ModelParams(gamma=gamma, mu=mu_c * (1.0 + 1e-6)), v_one, "origin")
     assert outside.verdict == "none"
-
-
-def test_f1_samples_match_a_one_at_a_time_draw(v_product):
-    # the vectorised draw keeps the momenta, and f1 values, of the scalar loop
-    params = ModelParams(gamma=2.0, mu=0.37)
-    for point in ("origin", "lambda:6"):
-        report = classify_threshold(params, v_product, point)
-        rng = np.random.default_rng(12345)
-        k = lambda_point(6) if point != "origin" else (0.0, 0.0, 0.0)
-        expected = []
-        while len(expected) < 100:
-            q = rng.uniform(-np.pi, np.pi, size=3)
-            if point == "origin":
-                d = 2.0 * (3.0 - np.cos(q[0]) - np.cos(q[1]) - np.cos(q[2]))
-            else:
-                d = -(3.0 + sum(np.cos(k[j] + q[j]) + np.cos(q[j]) for j in range(3)))
-            if abs(d) < 1e-6:
-                continue
-            p = tuple(reduce_coords(q).tolist())
-            expected.append((p, -params.mu * v_product(p) / d))
-        assert len(report.f1_samples) == 100
-        for (p, f1), (p_ref, f1_ref) in zip(report.f1_samples, expected):
-            assert p == p_ref
-            assert f1 == pytest.approx(f1_ref, rel=1e-15, abs=1e-300)
 
 
 _MODES = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)]
@@ -266,6 +259,27 @@ def test_threshold_integrals_match_the_polar_oracle(terms, lam, gamma):
         assert got == pytest.approx(ref, rel=max(2e-3, 10.0 * est / abs(ref)))
     assert mu_left(gamma, v) ** 2 * i_min == pytest.approx(2.0 * gamma, rel=1e-12)
     assert mu_right(gamma, lam, v) ** 2 * i_max == pytest.approx(9.0 - gamma, rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    terms=st.lists(
+        st.tuples(st.sampled_from(_MODES), st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 0.05)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_threshold_integrals_are_the_single_momentum_edge_limits(terms):
+    # the nine integrals come from one kernel row each; a wrong side or row
+    # would show against a kernel over that one momentum
+    v = VFunction(terms)
+    for which in ["origin"] + ["lambda:%d" % i for i in range(1, 9)]:
+        kernel = ResolventKernel(v, threshold_point(which)[2])
+        if which == "origin":
+            expected = 2.0 * kernel.integral_below(kernel.m)
+        else:
+            expected = kernel.integral_above(kernel.M)
+        assert threshold_integral(v, which) == expected, which
 
 
 def _critical(gamma, v, which):
