@@ -47,10 +47,10 @@ def main():
         print("%-34s %-16s %-16s" % (text, row[0], row[1]))
 
     print()
-    print("s = 2q - 1 is the log-log slope of shell integrals of |f1|^2, from")
-    print("the exact vanishing order q of v at the point: -1 marks a virtual")
-    print("level, s >= +1 a genuine edge eigenvalue. r is the determinant at")
-    print("the threshold, the residual of the pair's first row.")
+    print("s = 2q - 1 comes from the exact vanishing order q of v at the")
+    print("point: -1 marks a virtual level, s >= +1 a genuine edge eigenvalue.")
+    print("r is the determinant at the threshold, the residual of the pair's")
+    print("first row.")
 
 
 if __name__ == "__main__":

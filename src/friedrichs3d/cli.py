@@ -20,34 +20,14 @@ import numpy as np
 
 from . import __version__
 from .bands import BRANCH_COLUMNS, assemble_bands, branch_extrema
-from .determinant import (
-    EDGE_MARGIN,
-    InsideEssentialSpectrum,
-    ModelParams,
-    find_discrete_spectrum,
-    fredholm_delta,
-)
+from .determinant import InsideEssentialSpectrum, ModelParams, find_discrete_spectrum, fredholm_delta
 from .oracle import discretize, extreme_eigenvalues
-from .thresholds import (
-    DomainError,
-    ZeroCoupling,
-    classify_threshold,
-    critical_couplings,
-    fredholm_delta_threshold,
-    gamma_star,
-    mu_left,
-    mu_right,
-    threshold_integral,
-)
-from .vfunction import VFunction, VParseError, parse_v
+from .thresholds import classify_threshold, critical_couplings, gamma_star, mu_left, mu_right, threshold_integral
+from .vfunction import VFunction, parse_v
 
-_VALIDATION_ERRORS = (
-    VParseError,
-    DomainError,
-    ZeroCoupling,
-    InsideEssentialSpectrum,
-    ValueError,
-)
+# every refusal of an input (VParseError, DomainError, ZeroCoupling,
+# InsideEssentialSpectrum) is a ValueError
+_VALIDATION_ERRORS = ValueError
 # quadrature.NonConvergence is a RuntimeError
 _NUMERICAL_ERRORS = RuntimeError
 
@@ -291,20 +271,8 @@ def _cmd_critical(cfg: RunConfig, v: VFunction):
 
 
 def _cmd_classify(cfg: RunConfig, v: VFunction):
-    params = cfg.model()
-    report = classify_threshold(params, v, cfg.point)
-    results = {
-        "point": report.point,
-        "verdict": report.verdict,
-        "mu_critical": report.mu_critical,
-        "v_at_point": report.v_at_point,
-        "local_exponent": report.local_exponent,
-        "in_l2": report.in_l2,
-    }
-    diagnostics = {
-        "residuals": {"eigensystem_first": abs(fredholm_delta_threshold(params, v, cfg.point))}
-    }
-    return results, diagnostics, 0, None
+    report = classify_threshold(cfg.model(), v, cfg.point)
+    return dataclasses.asdict(report), {}, 0, None
 
 
 def _cmd_scan_gamma(cfg: RunConfig, v: VFunction):
@@ -313,9 +281,6 @@ def _cmd_scan_gamma(cfg: RunConfig, v: VFunction):
         raise ValueError("the scan window must satisfy 0 < gamma_min < gamma_max < 9")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-
-    def gap(gamma: float) -> float:
-        return mu_left(gamma, v) - mu_right(gamma, i, v)
 
     gammas = np.linspace(lo, hi, samples)
     rows = []
@@ -327,31 +292,19 @@ def _cmd_scan_gamma(cfg: RunConfig, v: VFunction):
     signs = [r[3] for r in rows if r[3] != 0.0]
     flips = sum(1 for a, b in zip(signs[:-1], signs[1:]) if a != b)
 
-    crossing = None
-    for (g0, *_, s0), (g1, *_, s1) in zip(rows[:-1], rows[1:]):
-        if s0 != s1:
-            a, b = g0, g1
-            fa = gap(a)
-            while b - a > 1e-6:
-                mid = 0.5 * (a + b)
-                fm = gap(mid)
-                if (fm > 0.0) == (fa > 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            crossing = 0.5 * (a + b)
-            break
-
+    # mu_left - mu_right increases strictly in gamma, so its sign is
+    # sign(gamma - gamma_star); a zero sign, or a gamma within rounding of
+    # gamma_star, agrees with either side
     star = gamma_star(i, v)
+    matches = all(
+        s in (0.0, np.sign(g - star)) or math.isclose(g, star, rel_tol=1e-12) for g, _, _, s in rows
+    )
     results = {
         "i": i,
         "rows": rows,
         "sign_changes": flips,
-        "crossing_gamma": crossing,
         "gamma_star": star,
-        "crossing_matches_star": (
-            None if crossing is None else bool(abs(crossing - star) < 1e-4)
-        ),
+        "crossing_matches_star": None if len({r[3] for r in rows}) == 1 else matches,
     }
     return results, {}, 0, ("gamma,mu_left,mu_right,sign", rows)
 

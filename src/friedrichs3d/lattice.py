@@ -11,6 +11,7 @@ per-axis extremization; those closed forms live here.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import product
 
@@ -110,29 +111,32 @@ def lambda_points() -> tuple:
 
 
 def lambda_point(i: int) -> tuple:
-    """The i-th point of `lambda_points()`, 1-based, i in 1..8."""
+    """The i-th point of `lambda_points()`, 1-based, i an integer in 1..8."""
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise ValueError("lambda index must be an integer, got %r" % (i,)) from None
     if not 1 <= i <= 8:
-        raise ValueError("lambda index must be in 1..8")
+        raise ValueError("lambda index must be in 1..8, got %d" % i)
     return lambda_points()[i - 1]
 
 
 def threshold_point(name: str):
-    """Parse a threshold designator into (label, index, point).
+    """Parse a threshold designator into (index, point).
 
-    Accepts "origin" (lower threshold z = 0 at k = 0) or "lambda:<i>" with
-    i in 1..8 (upper threshold z = 27/2 at the i-th Lambda point).
+    "origin" is index 0, the lower threshold z = 0 at k = 0; "lambda:<i>"
+    is index i in 1..8, the upper threshold z = 27/2 at the i-th Lambda
+    point.
     """
     if not isinstance(name, str):
         raise ValueError("threshold designator must be a string")
     text = name.strip().lower()
     if text == "origin":
-        return "origin", None, ORIGIN
+        return 0, ORIGIN
     if text.startswith("lambda:"):
         try:
             idx = int(text.split(":", 1)[1])
         except ValueError:
             raise ValueError("malformed lambda index in %r" % name) from None
-        if not 1 <= idx <= 8:
-            raise ValueError("lambda index must be in 1..8, got %d" % idx)
-        return "lambda", idx, lambda_point(idx)
+        return idx, lambda_point(idx)
     raise ValueError("unknown threshold designator %r (use 'origin' or 'lambda:<i>')" % name)

@@ -14,6 +14,11 @@ kernel.  The critical coupling mu_c = sqrt((gamma - g0)/j) exists for
 gamma > 0 at the origin and gamma < 9 at a Lambda point, and the
 crossover gamma_star is where two of them coincide.
 
+The nine thresholds are indexed by t: 0 is the origin and i in 1..8 the
+i-th Lambda point.  All nine integrals come from one cached kernel, and
+everything below works on t.  The public functions check a Lambda index
+i, or parse a designator 'origin' / 'lambda:<i>', once on entry.
+
 At the critical coupling the threshold solution psi = (1, f1) with
 f1(q) = -mu v(q) / (w1(k, q) - z0) is square-integrable iff v vanishes
 at the singular point.  The verdict reads that dichotomy off |v| at the
@@ -33,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .determinant import ModelParams
-from .lattice import ORIGIN, lambda_points, threshold_point
+from .lattice import ORIGIN, lambda_point, lambda_points, threshold_point
 from .quadrature import ResolventKernel
 from .vfunction import VFunction
 
@@ -54,8 +59,9 @@ _MATCH_RTOL = 1e-8
 _VANISH_TOL = 1e-12
 # one request works on one v: fresh v must not pile up in the cache
 _CACHE_SIZE = 4
-# per threshold label: the side's name, g0, and the factor j / threshold_integral
-_CONVENTION = {"origin": ("lower", 0.0, 0.5), "lambda": ("upper", 9.0, -1.0)}
+# per threshold index t (0 the origin, i the i-th Lambda point): the
+# side's name, g0, and the factor j / threshold integral
+_CONVENTION = (("lower", 0.0, 0.5),) + (("upper", 9.0, -1.0),) * 8
 
 
 class DomainError(ValueError):
@@ -79,7 +85,7 @@ def _finite(value: float, what: str) -> float:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _threshold_integrals(v: VFunction) -> tuple:
-    """I_min, then I_max at each Lambda point in order, from one kernel over the nine momenta."""
+    """The nine threshold integrals by index t, from one kernel over the nine momenta."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         kernel = ResolventKernel(v, (ORIGIN,) + lambda_points())
         # one row per momentum at its threshold: the lower edge at the
@@ -87,8 +93,9 @@ def _threshold_integrals(v: VFunction) -> tuple:
         fiber = np.arange(9)
         values = kernel.rows(fiber, fiber > 0).integrals(fiber, np.zeros(9)).tolist()
         values[0] *= 2.0  # w1(0, .) = 2 eps, so int v^2/eps is twice the lower edge limit
-    labels = ["origin"] + ["lambda"] * 8
-    return tuple(_finite(x, "%s threshold integral" % label) for x, label in zip(values, labels))
+    return tuple(
+        _finite(x, "%s threshold integral" % ("lambda" if t else "origin")) for t, x in enumerate(values)
+    )
 
 
 def threshold_integral(v: VFunction, which: str) -> float:
@@ -98,14 +105,13 @@ def threshold_integral(v: VFunction, which: str) -> float:
     eps(t)) at a Lambda point k, both exact edge limits of the fiber's
     resolvent kernel (z = 0 at k = 0, z = 27/2 on Lambda).
     """
-    _, index, _ = threshold_point(which)
-    return _threshold_integrals(v)[index or 0]
+    return _threshold_integrals(v)[threshold_point(which)[0]]
 
 
-def _threshold_terms(v: VFunction, which: str):
-    """(g0, j) of Delta_thr = (gamma - g0) - mu^2 j at a threshold."""
-    _, g0, scale = _CONVENTION[threshold_point(which)[0]]
-    return g0, scale * threshold_integral(v, which)
+def _threshold_terms(v: VFunction, t: int):
+    """(g0, j) of Delta_thr = (gamma - g0) - mu^2 j at threshold index t."""
+    _, g0, scale = _CONVENTION[t]
+    return g0, scale * _threshold_integrals(v)[t]
 
 
 def fredholm_delta_threshold(params: ModelParams, v: VFunction, which: str) -> float:
@@ -114,18 +120,18 @@ def fredholm_delta_threshold(params: ModelParams, v: VFunction, which: str) -> f
     gamma - (mu^2/2) int v^2/eps at the origin and gamma - 9 +
     mu^2 int v^2/(9 - eps(k+t) - eps(t)) at a Lambda point.
     """
-    g0, j = _threshold_terms(v, which)
+    g0, j = _threshold_terms(v, threshold_point(which)[0])
     return (params.gamma - g0) - params.mu ** 2 * j
 
 
-def _mu_critical(gamma: float, v: VFunction, which: str) -> float:
-    """The mu = sqrt((gamma - g0)/j) where Delta_thr vanishes.
+def _mu_critical(gamma: float, v: VFunction, t: int) -> float:
+    """The mu = sqrt((gamma - g0)/j) where Delta_thr vanishes at threshold index t.
 
     Raises ValueError for a non-finite gamma and DomainError when gamma
     lies on the wrong side of g0 (both decided before any integral), then
     ZeroCoupling when j vanishes.
     """
-    side, g0, scale = _CONVENTION[threshold_point(which)[0]]
+    side, g0, scale = _CONVENTION[t]
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite, got %r" % gamma)
     sign = math.copysign(1.0, scale)
@@ -134,7 +140,7 @@ def _mu_critical(gamma: float, v: VFunction, which: str) -> float:
             "the %s critical coupling needs gamma %s %g, got %.17g"
             % (side, ">" if sign > 0.0 else "<", g0, gamma)
         )
-    _, j = _threshold_terms(v, which)
+    _, j = _threshold_terms(v, t)
     if not sign * j > 0.0:
         raise ZeroCoupling("the %s threshold integral vanishes; no critical coupling" % side)
     # the signs agree (checked above); a quotient of roots does not underflow
@@ -143,18 +149,20 @@ def _mu_critical(gamma: float, v: VFunction, which: str) -> float:
 
 def mu_left(gamma: float, v: VFunction) -> float:
     """Critical coupling for the lower threshold; needs gamma > 0."""
-    return _mu_critical(gamma, v, "origin")
+    return _mu_critical(gamma, v, 0)
 
 
 def mu_right(gamma: float, i: int, v: VFunction) -> float:
     """Critical coupling for the upper threshold at the i-th Lambda point; gamma < 9."""
-    return _mu_critical(gamma, v, "lambda:%d" % i)
+    lambda_point(i)  # refuses an i that is not an integer in 1..8
+    return _mu_critical(gamma, v, i)
 
 
 def gamma_star(i: int, v: VFunction) -> float:
     """The gamma where mu_left and mu_right coincide: 9 I_min / (2 I_max + I_min)."""
-    g_lo, j_lo = _threshold_terms(v, "origin")
-    g_hi, j_hi = _threshold_terms(v, "lambda:%d" % i)
+    lambda_point(i)  # refuses an i that is not an integer in 1..8
+    g_lo, j_lo = _threshold_terms(v, 0)
+    g_hi, j_hi = _threshold_terms(v, i)
     if not (j_lo > 0.0 and j_hi < 0.0):
         raise ZeroCoupling("threshold integrals vanish; no coupling crossover")
     return _finite((g_hi * j_lo - g_lo * j_hi) / (j_lo - j_hi), "coupling crossover gamma_star")
@@ -171,14 +179,14 @@ class CriticalCouplings:
 
 
 def critical_couplings(gamma: float, v: VFunction) -> CriticalCouplings:
-    def coupling(which):
+    def coupling(t):
         try:
-            return _mu_critical(gamma, v, which)
+            return _mu_critical(gamma, v, t)
         except DomainError:
             return None
 
-    mu_l = coupling("origin")
-    mu_r = tuple(coupling("lambda:%d" % i) for i in range(1, 9))
+    mu_l = coupling(0)
+    mu_r = tuple(coupling(i) for i in range(1, 9))
     stars = tuple(gamma_star(i, v) for i in range(1, 9))
     return CriticalCouplings(gamma=gamma, mu_l=mu_l, mu_r=mu_r, gamma_star=stars)
 
@@ -211,8 +219,8 @@ def classify_threshold(params: ModelParams, v: VFunction, point: str) -> Thresho
     of |coefficients| of v): f1 = -mu v / (w1 - z0) ~ r^{q-2}, so f1 is
     square-integrable near the point iff q >= 1.
     """
-    _, _, pt = threshold_point(point)
-    mu_c = _mu_critical(params.gamma, v, point)
+    t, pt = threshold_point(point)
+    mu_c = _mu_critical(params.gamma, v, t)
     matched = abs(params.mu - mu_c) <= _MATCH_RTOL * mu_c
     v_at = v(pt)
     vanishes = abs(v_at) < _VANISH_TOL * v._coefficient_bound()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from friedrichs3d import cli, quadrature
@@ -209,8 +209,7 @@ def test_classify_reports_verdict(run_cli):
     res = json.loads(out)["results"]
     assert res["verdict"] == "eigenvalue"
     assert res["in_l2"] is True
-    diag = json.loads(out)["diagnostics"]["residuals"]
-    assert diag["eigensystem_first"] < 1e-6
+    assert json.loads(out)["diagnostics"] == {}
 
 
 @pytest.mark.parametrize(
@@ -253,8 +252,76 @@ def test_scan_gamma_csv_and_crossing(run_cli):
     )
     res = json.loads(out)["results"]
     assert res["sign_changes"] == 1
-    assert res["crossing_gamma"] == pytest.approx(3.0, abs=1e-4)
+    # constant v: I_min = I_max, so gamma_star = 9 I_min / (2 I_max + I_min) = 3
+    assert res["gamma_star"] == pytest.approx(3.0, abs=1e-12)
     assert res["crossing_matches_star"] is True
+
+
+def _v_text(terms):
+    """The expression of sum c * b(m1, p1) b(m2, p2) b(m3, p3), b as in `vfunction`."""
+
+    def factor(n, axis):
+        return "%s(%d*p%d)" % ("cos" if n > 0 else "sin", abs(n), axis)
+
+    return " + ".join(
+        "*".join([repr(c)] + [factor(n, axis) for axis, n in enumerate(mode, 1) if n])
+        for mode, c in terms
+    )
+
+
+_SCAN_MODES = [(a, b, c) for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    # distinct modes, so v is never zero
+    terms=st.lists(
+        st.tuples(st.sampled_from(_SCAN_MODES), st.floats(-1.0, 1.0).filter(lambda c: abs(c) > 0.05)),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda term: term[0],
+    ),
+    i=st.integers(1, 8),
+    ends=st.tuples(st.floats(0.01, 8.99), st.floats(0.01, 8.99)).filter(lambda e: e[0] != e[1]),
+    samples=st.integers(2, 20),
+)
+def test_scan_gamma_rows_agree_with_gamma_star(run_cli, terms, i, ends, samples):
+    lo, hi = sorted(ends)
+    code, out, err = run_cli(
+        "scan-gamma", "--v=" + _v_text(terms), "--i", str(i),
+        "--gamma-min=%r" % lo, "--gamma-max=%r" % hi, "--samples", str(samples),
+    )
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    star = res["gamma_star"]
+    # an end within rounding of gamma_star may read either sign
+    assume(min(abs(lo - star), abs(hi - star)) > 1e-12 * star)
+    # mu_left - mu_right increases strictly in gamma: its sign is sign(gamma - gamma_star)
+    for g, _, _, sign in res["rows"]:
+        assert sign == np.sign(g - star) or abs(g - star) <= 1e-12 * star, (g, star)
+    assert res["sign_changes"] <= 1
+    assert res["crossing_matches_star"] is (True if lo < star < hi else None)
+
+
+# the four couplings of demos/threshold_zoo.py, on the benchmark's scan window
+@pytest.mark.parametrize("text", ["1", "cos(p1) + 0.5", "1 - cos(p1)", "(1 - cos(p1)) * (cos(p1) + 0.5)"])
+def test_scan_gamma_matches_star_on_the_zoo(run_cli, text):
+    for i in range(1, 9):
+        code, out, err = run_cli(
+            "scan-gamma", "--v", text, "--i", str(i),
+            "--gamma-min", "0.1", "--gamma-max", "8.9", "--samples", "16",
+        )
+        assert code == 0, err
+        assert json.loads(out)["results"]["crossing_matches_star"] is True, i
+
+
+@pytest.mark.parametrize("i", ["0", "9"])
+def test_scan_gamma_refuses_a_lambda_index_outside_one_to_eight(run_cli, i):
+    code, out, err = run_cli("scan-gamma", "--i", i, "--gamma-min", "0.5", "--gamma-max", "8.5")
+    assert code == 2
+    assert out == ""
+    assert "lambda index must be in 1..8" in err
 
 
 def test_verify_agrees_and_exits_clean(run_cli):

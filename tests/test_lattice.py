@@ -157,10 +157,10 @@ def test_lambda_set_is_the_eight_sign_patterns():
 
 
 def test_threshold_point_parsing():
-    label, index, pt = threshold_point("origin")
-    assert label == "origin" and index is None and pt == ORIGIN
-    label, index, pt = threshold_point("lambda:3")
-    assert label == "lambda" and index == 3 and pt == lambda_point(3)
+    index, pt = threshold_point("origin")
+    assert index == 0 and pt == ORIGIN
+    index, pt = threshold_point("lambda:3")
+    assert index == 3 and pt == lambda_point(3)
     for bad in ("lambda:0", "lambda:9", "lambda:x", "corner", ""):
         with pytest.raises(ValueError):
             threshold_point(bad)

@@ -54,6 +54,21 @@ def test_critical_coupling_domains(v_one):
         mu_left(1.0, VFunction.zero())
 
 
+def test_lambda_index_is_checked_not_truncated(v_one):
+    # "lambda:%d" % 1.5 names Lambda_1: a fractional index is refused instead
+    for call in (lambda: lambda_point(1.5), lambda: mu_right(2.0, 1.5, v_one), lambda: gamma_star(2.9, v_one)):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+    # the index is checked first, before gamma
+    with pytest.raises(ValueError, match="1..8"):
+        mu_right(float("nan"), 9, v_one)
+    with pytest.raises(ValueError, match="1..8"):
+        gamma_star(0, v_one)
+    assert lambda_point(np.int64(4)) == lambda_point(4)
+    assert mu_right(2.0, np.int64(4), v_one) == mu_right(2.0, 4, v_one)
+    assert gamma_star(np.int64(4), v_one) == gamma_star(4, v_one)
+
+
 def test_left_coupling_against_frozen_constant(v_one):
     # independent anchor: the dispersion integral is known in closed form
     for gamma in (0.5, 2.0, 7.0):
@@ -123,7 +138,7 @@ def test_critical_couplings_bundle(v_one):
 
 
 def _probe(v, which):
-    return l2_membership_probe(v, np.array(threshold_point(which)[2]))
+    return l2_membership_probe(v, np.array(threshold_point(which)[1]))
 
 
 def test_probe_exponent_tracks_vanishing_order(v_one, v_cos_half, v_one_minus_cos, v_product):
@@ -145,7 +160,7 @@ def test_probe_exponent_tracks_vanishing_order(v_one, v_cos_half, v_one_minus_co
     ):
         v = parse_v(text)
         for point in ("origin", "lambda:1", "lambda:5"):
-            pt = threshold_point(point)[2]
+            pt = threshold_point(point)[1]
             cases.append((v, point, v.vanishing_order(pt) if abs(v(pt)) < 1e-12 else 0))
     for v, point, theta in cases:
         exponent, in_l2 = _probe(v, point)
@@ -274,7 +289,7 @@ def test_threshold_integrals_are_the_single_momentum_edge_limits(terms):
     # would show against a kernel over that one momentum
     v = VFunction(terms)
     for which in ["origin"] + ["lambda:%d" % i for i in range(1, 9)]:
-        kernel = ResolventKernel(v, threshold_point(which)[2])
+        kernel = ResolventKernel(v, threshold_point(which)[1])
         if which == "origin":
             expected = 2.0 * kernel.integral_below(kernel.m)
         else:
