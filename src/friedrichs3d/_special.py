@@ -6,10 +6,12 @@
   highest orders and the backward recurrence
   I_{n-1} = I_{n+1} + (2n/x) I_n, stable for I_n, the rest; above it
   Hankel's expansion (DLMF 10.40.1) gives every order at once.
-* `erfc(x)`: `math.erfc` elementwise.
+* `erfc(x)`: `math.erfc` elementwise; above `_ERFC_ZERO`, where
+  `math.erfc` is exactly 0.0, it is not called.
 * `exp1(x)`: E1(x) elementwise, by the power series for x <= 1 (DLMF
   6.6.2) and the continued fraction above (DLMF 6.9.1), summed from a
-  fixed depth upward.
+  fixed depth upward; 0.0 above `_EXP1_ZERO`, where E1 underflows, with
+  no call.
 
 Every value is computed elementwise, with a number of terms that depends
 on its own argument alone, so an element's value does not depend on the
@@ -40,6 +42,10 @@ _SERIES_PIECES = ((2.0, 16), (_SWITCH, 56))
 _HANKEL_TERMS = 20
 _CHAINS = 4
 _EULER_GAMMA = 0.57721566490153286061
+# math.erfc(x) is exactly 0.0 from x ~ 27.2264 on
+_ERFC_ZERO = 27.5
+# E1(x) < e^{-x}/x is below half the least subnormal above this
+_EXP1_ZERO = 746.0
 
 
 def _hankel_coefficients():
@@ -137,15 +143,29 @@ def _ive_hankel(orders: int, x: np.ndarray) -> np.ndarray:
     return _polynomial(_HANKEL[:orders], 1.0 / x) / np.sqrt(2.0 * math.pi * x)
 
 
+def _below_zero_cut(fn, x, cut: float) -> np.ndarray:
+    """fn elementwise over x, called only where x <= cut; 0.0 above it.
+
+    NaN compares false with the cut and so goes to fn, as every other
+    element that is not known to give 0.0.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    live = ~(x > cut)
+    out[live] = [fn(t) for t in x[live].tolist()]
+    return out
+
+
 def erfc(x) -> np.ndarray:
     """The complementary error function, elementwise."""
-    x = np.asarray(x, dtype=float)
-    return np.array([math.erfc(t) for t in x.ravel().tolist()]).reshape(x.shape)
+    return _below_zero_cut(math.erfc, x, _ERFC_ZERO)
 
 
 def _exp1(x: float) -> float:
     if x == 0.0:
         return math.inf
+    if math.isnan(x):
+        return x
     if x <= 1.0:
         # E1(x) = -gamma - ln x - sum_{k >= 1} (-x)^k / (k k!)
         total, term = 0.0, 1.0
@@ -156,8 +176,8 @@ def _exp1(x: float) -> float:
             if abs(part) < 2.0 ** -56 * abs(total):
                 break
         return -_EULER_GAMMA - math.log(x) - total
-    if x > 746.0:
-        return 0.0  # E1(x) < e^{-x}/x, below half the least subnormal
+    if x > _EXP1_ZERO:
+        return 0.0
     # E1(x) = e^{-x} / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))), evaluated from
     # the bottom up: the forward (Lentz) recurrence needs about 7 + 81/x levels
     # for double precision, but its products lose a few ulp near x = 1
@@ -169,5 +189,4 @@ def _exp1(x: float) -> float:
 
 def exp1(x) -> np.ndarray:
     """The exponential integral E1(x) = int_x^inf e^{-t}/t dt, elementwise for x >= 0."""
-    x = np.asarray(x, dtype=float)
-    return np.array([_exp1(t) for t in x.ravel().tolist()]).reshape(x.shape)
+    return _below_zero_cut(_exp1, x, _EXP1_ZERO)

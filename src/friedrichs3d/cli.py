@@ -186,7 +186,8 @@ def _load_config(path: str):
 
 # ---------------------------------------------------------------------------
 # command implementations: each returns (results, diagnostics, exit_code,
-# table), table a (header, rows) pair for CSV output or None for key,value
+# table), table a (header, float array) pair for CSV output or None for
+# key,value
 # ---------------------------------------------------------------------------
 
 
@@ -251,10 +252,7 @@ def _cmd_bands(cfg: RunConfig, v: VFunction):
         "symmetry_flips": [list(s) for s in structure.symmetry_flips],
         "root_iterations": structure.root_iterations,
     }
-    header = ",".join(BRANCH_COLUMNS)
-    # plain floats, never numpy scalars, so that every cell prints as repr(float)
-    rows = [[None if math.isnan(x) else x for x in row] for row in structure.eigen_branches.tolist()]
-    return results, diagnostics, 0, (header, rows)
+    return results, diagnostics, 0, (",".join(BRANCH_COLUMNS), structure.eigen_branches)
 
 
 def _cmd_critical(cfg: RunConfig, v: VFunction):
@@ -306,7 +304,7 @@ def _cmd_scan_gamma(cfg: RunConfig, v: VFunction):
         "gamma_star": star,
         "crossing_matches_star": None if len({r[3] for r in rows}) == 1 else matches,
     }
-    return results, {}, 0, ("gamma,mu_left,mu_right,sign", rows)
+    return results, {}, 0, ("gamma,mu_left,mu_right,sign", np.array(rows))
 
 
 def _cmd_verify(cfg: RunConfig, v: VFunction):
@@ -373,12 +371,22 @@ def _flatten(prefix: str, obj, rows):
 
 
 def _to_csv(results: dict, table) -> str:
+    """The CSV report: the command's float table, else the results flattened to key,value rows.
+
+    A table cell is "" for NaN and repr(float) otherwise.  Each distinct
+    value of the table is formatted once, keyed on its bit pattern, which
+    keeps 0.0 and -0.0 apart.
+    """
     if table is None:
         rows = []
         _flatten("", results, rows)
-        table = ("key,value", rows)
-    header, rows = table
-    return "\n".join([header] + [",".join(map(_csv_escape, row)) for row in rows]) + "\n"
+        return "\n".join(["key,value"] + [",".join(map(_csv_escape, row)) for row in rows]) + "\n"
+    header, values = table
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    text = np.array(["" if math.isnan(x) else repr(x) for x in bits.view(float).tolist()], dtype=object)
+    lines = [",".join(row) for row in text[inverse.reshape(values.shape)].tolist()]
+    return "\n".join([header] + lines) + "\n"
 
 
 def _emit(report: dict, cfg: RunConfig, table) -> None:

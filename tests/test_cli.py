@@ -1,8 +1,10 @@
 import filecmp
 import json
+import math
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from friedrichs3d import cli, quadrature
+from friedrichs3d.bands import assemble_bands
 from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
 from friedrichs3d.vfunction import parse_v
 
@@ -74,6 +77,62 @@ def test_bands_csv_writes_plain_floats(run_cli):
     assert any(row[5] == "" for row in rows) and any(row[5] != "" for row in rows)
     for cell in (cell for row in rows for cell in row if cell):
         assert repr(float(cell)) == cell
+
+
+def _csv_oracle(header, rows):
+    """The CSV table formatted cell by cell: "" for NaN, repr(float) otherwise."""
+    lines = [",".join("" if math.isnan(x) else repr(x) for x in row) for row in rows]
+    return "\n".join([header] + lines) + "\n"
+
+
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+# NaN with several payloads and both signs (quiet and signalling), signed
+# zeros and infinities, subnormals and 17-digit values
+_SPECIAL_BITS = [
+    0x7FF8000000000000, 0x7FF8000000000001, 0x7FF4000000000123, 0x7FF0000000000001,
+    -0x0008000000000000, -0x0007FFFFFFFFFFFF, -0x000BFFFFFFFFFEDD,
+] + [_bits(x) for x in (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+                         0.1 + 0.2, 1 / 3, -2.0 / 3, 13.5, math.pi)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    pool=st.lists(st.one_of(st.sampled_from(_SPECIAL_BITS), st.floats(allow_nan=False).map(_bits)),
+                  min_size=1, max_size=12),
+    shape=st.tuples(st.integers(0, 30), st.integers(1, 7)),
+    data=st.data(),
+)
+def test_table_csv_matches_per_cell_formatting(pool, shape, data):
+    # indices into a small pool, so that values repeat
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))
+    table = np.array([pool[j] for j in picks], dtype=np.int64).reshape(shape).view(float)
+    assert cli._to_csv({}, ("a,b", table)) == _csv_oracle("a,b", table.tolist())
+
+
+# the detach case of test_bands.py: both branches detach, so both sides have empty cells
+_DETACH_ARGV = ("--gamma", "3.0", "--mu", "0.1", "--v", "0.9 + 0.2*cos(p1) + 0.3*cos(2*p2) - 0.2*cos(p2)*cos(p3)")
+
+
+@pytest.mark.parametrize("resolution", [3, 4, 9])
+def test_bands_csv_is_the_per_cell_formatting_of_the_branches(run_cli, resolution):
+    code, out, err = run_cli("bands", *_DETACH_ARGV, "--resolution", str(resolution), "--format", "csv")
+    assert code == 0, err
+    branches = assemble_bands(ModelParams(gamma=3.0, mu=0.1), parse_v(_DETACH_ARGV[-1]), resolution).eigen_branches
+    assert np.isnan(branches[:, 5:]).any(axis=0).all()
+    assert out == _csv_oracle("k1,k2,k3,m,M,eigen_below,eigen_above", branches.tolist())
+
+
+def test_scan_gamma_csv_is_the_per_cell_formatting_of_its_rows(run_cli):
+    scan = ("scan-gamma", "--v", "1 - 0.5*cos(p1)", "--i", "3", "--gamma-min", "0.5", "--gamma-max", "8.5")
+    code, out, err = run_cli(*scan, "--format", "csv")
+    assert code == 0, err
+    code, report, err = run_cli(*scan)
+    assert code == 0, err
+    assert out == _csv_oracle("gamma,mu_left,mu_right,sign", json.loads(report)["results"]["rows"])
 
 
 @pytest.mark.parametrize(

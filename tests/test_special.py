@@ -116,3 +116,21 @@ def test_exp1_of_the_tail_argument_matches_mpmath():
 def test_exp1_and_erfc_keep_the_shape_and_the_limits():
     assert exp1(np.zeros((2, 1))).tolist() == [[math.inf], [math.inf]]
     assert erfc(np.array([[0.0, math.inf]])).tolist() == [[1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "fn, element, zero_from, cut",
+    [(erfc, math.erfc, 27.2264, _special._ERFC_ZERO), (exp1, _special._exp1, 746.0, _special._EXP1_ZERO)],
+    ids=["erfc", "exp1"],
+)
+def test_erfc_and_exp1_skip_only_elements_that_are_zero(fn, element, zero_from, cut):
+    # a dense grid from below where the element function becomes 0.0 to
+    # beyond the cut, from where it is not called
+    x = np.concatenate([
+        np.linspace(0.98 * zero_from, 1.02 * cut, 40002), _around(zero_from), _around(cut),
+        [0.0, math.inf, math.nan, -math.nan],
+    ]).reshape(2, 2, -1)
+    got = fn(x)
+    want = np.array([element(t) for t in x.ravel().tolist()]).reshape(x.shape)
+    assert got.shape == x.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
