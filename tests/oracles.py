@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the production quadrature and solver
 code paths: brute tensor scans, the band-edge minimizers, a dense
-eigensolver, left-endpoint Riemann sums, a 3D midpoint grid with
-doubling, a graded polar mesh with Richardson extrapolation, a
-singular-ball split of threshold integrals, a shell-slope fit of the
-local exponent at a threshold, and closed-form constants.
+eigensolver, bisection of the arrowhead secular equation, left-endpoint
+Riemann sums, a 3D midpoint grid with doubling, a graded polar mesh with
+Richardson extrapolation, a singular-ball split of threshold integrals, a
+shell-slope fit of the local exponent at a threshold, and closed-form
+constants.
 Agreement between these routes and the library is what the tests
 certify.  Nothing here imports friedrichs3d:
 the benchmark loads this module without the package on its path.
@@ -94,6 +95,69 @@ def dense_eigenvalues(op) -> np.ndarray:
     mat[0, 1:] = op.border
     mat[1:, 0] = op.border
     return np.linalg.eigvalsh(mat)
+
+
+def bisect_secular_root(scalar: float, d: np.ndarray, b2: np.ndarray, lowest: bool) -> float:
+    """Extreme zero of f(z) = scalar - z - sum b2/(d - z) outside the hull of d, by bisection.
+
+    Plain bracket-and-bisect to 1e-13 max(1, |edge|, |scalar|): the near end
+    halves its distance to the pole until f takes the pole's sign (or
+    rounds onto the pole, when the root is the edge to working precision),
+    the far end doubles its distance until f takes the other sign.
+    """
+    edge = float(np.min(d)) if lowest else float(np.max(d))
+    direction = -1.0 if lowest else 1.0
+    scale = max(1.0, abs(edge), abs(scalar))
+
+    def f(z):
+        return scalar - z - float(np.sum(b2 / (d - z)))
+
+    # f -> -inf as z -> edge from outside when lowest, +inf when highest; a
+    # root that f cannot separate from the pole in floating point is the edge
+    eta = 1e-9 * scale
+    while True:
+        near = edge + direction * eta
+        if near == edge:
+            return edge
+        fn = f(near)
+        if (fn < 0.0) if lowest else (fn > 0.0):
+            break
+        eta *= 0.5
+    width = 1.0
+    far = edge + direction * (eta + width)
+    while (f(far) <= 0.0) if lowest else (f(far) >= 0.0):
+        width *= 2.0
+        far = edge + direction * (eta + width)
+    lo, hi = (far, near) if lowest else (near, far)
+    # f > 0 at lo in both orientations; 200 halvings reach any width that rounding allows
+    for _ in range(200):
+        if hi - lo <= 1e-13 * scale:
+            break
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bisect_extreme_eigenvalues(op):
+    """(lowest, highest) eigenvalue of an arrowhead operator by bisection of its secular equation.
+
+    Nodes with zero border weight are bare diagonal entries; the coupled
+    nodes go through `bisect_secular_root`.  `op` is shaped like
+    friedrichs3d.oracle.DiscretizedOperator.
+    """
+    b2 = op.border * op.border
+    coupled = b2 != 0.0
+    bare = op.diagonal[~coupled]
+    low = min([op.scalar, *bare.tolist()])
+    high = max([op.scalar, *bare.tolist()])
+    if coupled.any():
+        d, b2 = op.diagonal[coupled], b2[coupled]
+        low = min(low, bisect_secular_root(op.scalar, d, b2, True))
+        high = max(high, bisect_secular_root(op.scalar, d, b2, False))
+    return low, high
 
 
 def left_riemann_integral(f, n: int = 128) -> float:
