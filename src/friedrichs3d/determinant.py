@@ -61,6 +61,9 @@ class ModelParams:
             raise ValueError("gamma and mu^2 must be finite, got gamma %r, mu %r" % (self.gamma, self.mu))
         if self.mu <= 0.0:
             raise ValueError("mu must be positive")
+        # a mu^2 that underflows would meet an infinite edge limit as 0 * inf
+        if self.mu * self.mu == 0.0:
+            raise ValueError("mu^2 underflows to 0, got mu %r" % self.mu)
 
 
 def _check_windows(m, M, below, above) -> None:
@@ -137,26 +140,30 @@ def _solve_rows(params: ModelParams, kernels: _Kernels):
     max(sign (w0 - edge), 0) + mu ||v||_2 (the rank-one bound); g < 0 is
     checked just beyond the smaller one.  All open rows then step together
     from there: Newton in sqrt(delta), which tames the sqrt(delta) edge
-    behavior of the kernel, replaced by a geometric bisection whenever it
-    leaves the bracket.  A row stops when |g| <= 1e-10 (or the rounding
-    noise at large |z|), which bounds its error by the same since
-    |g'| >= 1, or when its bracket is 1e-10 wide.  Returns the roots and
-    the number of lockstep iterations.
+    behavior of the kernel, or, on a row with no free axis (the corner
+    k = (pi, pi, pi), where J ~ 1/delta), Newton on delta g; either is
+    replaced by a geometric bisection whenever it leaves the bracket.  A
+    row stops when |g| <= 1e-10 (or the rounding noise at large |z|),
+    which bounds its error by the same since |g'| >= 1, or when its
+    bracket is 1e-10 wide.  For mu > 1 the rows step on g / mu^2, whose
+    terms cannot overflow, with the tolerance and the slope bound scaled
+    alike.  Returns the roots and the number of lockstep iterations.
     """
     sign, edge = np.where(kernels.side == 1, 1.0, -1.0), kernels.edge
     w0 = kernels.eps + params.gamma
     n = sign.size
-    mu2 = params.mu ** 2
+    scale = max(1.0, params.mu ** 2)
+    mu2 = params.mu ** 2 / scale
 
     def g(rows, delta, slope=False):
         out = kernels.integrals(rows, delta, slope)
         j, k = out if slope else (out, None)
         z = edge[rows] + sign[rows] * delta
-        value = sign[rows] * (w0[rows] - z) + mu2 * j
+        value = sign[rows] * (w0[rows] - z) / scale + mu2 * j
         if not slope:
             return value
-        noise = _NOISE * (np.abs(w0[rows]) + np.abs(z) + mu2 * j)
-        return value, -1.0 - mu2 * k, noise
+        noise = _NOISE * ((np.abs(w0[rows]) + np.abs(z)) / scale + mu2 * j)
+        return value, -1.0 / scale - mu2 * k, noise
 
     roots = np.full(n, np.nan)
     at_edge, at_margin = np.split(g(np.tile(np.arange(n), 2), np.repeat([0.0, EDGE_MARGIN], n)), 2)
@@ -165,7 +172,7 @@ def _solve_rows(params: ModelParams, kernels: _Kernels):
     open_ = np.flatnonzero((at_edge > 0.0) & ~pinched)
     lo = np.full(open_.size, EDGE_MARGIN)
     rank_one = np.maximum(sign[open_] * (w0[open_] - edge[open_]), 0.0) + params.mu * kernels.v_norm
-    bound = np.minimum(rank_one, at_edge[open_])
+    bound = np.minimum(rank_one / scale, at_edge[open_]) * scale
     hi = bound + 1e-9 * (1.0 + bound)
     x = hi
     iterations = 0
@@ -179,8 +186,8 @@ def _solve_rows(params: ModelParams, kernels: _Kernels):
         beyond = value > 0.0
         lo = np.where(beyond, x, lo)
         hi = np.where(beyond, hi, x)
-        mid = np.sqrt(lo * hi)
-        small = np.abs(value) <= np.maximum(noise, _ROOT_TOL)
+        mid = np.sqrt(lo) * np.sqrt(hi)
+        small = np.abs(value) <= np.maximum(noise, _ROOT_TOL / scale)
         # a bracket with no float strictly inside has resolved its root to an ulp
         narrow = (hi - lo <= _ROOT_TOL) | (mid <= lo) | (mid >= hi)
         done = small | narrow
@@ -193,6 +200,13 @@ def _solve_rows(params: ModelParams, kernels: _Kernels):
             )
         u = np.sqrt(x)
         newton = np.maximum(u - value / (2.0 * u * slope), 0.0) ** 2
+        # a row with no free axis has J ~ 1/delta: Newton on delta g, where
+        # the sqrt(delta) step only about doubles delta.  A step past hi is
+        # refused below, so its divisor may be cut there
+        pole = kernels.d_free[open_] == 0
+        if pole.any():
+            xp = x[pole]
+            newton[pole] = xp / np.maximum(1.0 + value[pole] / (xp * slope[pole]), xp / hi[pole])
         x = np.where((newton > lo) & (newton < hi), newton, mid)
     return edge + sign * roots, iterations
 

@@ -10,7 +10,10 @@ z outside the fiber band:
   its (fiber, band edge) rows, since root-finding needs evaluations
   exactly at the edges, and the threshold integrals are its edge limits
   at k = 0 and on Lambda.  Its Bessel functions, and the erfc and E1 of
-  its tails, come from `_special`, which needs numpy and math only.
+  its tails, come from `_special`, which needs numpy and math only; the
+  Bessel tables are cached per (c, orders), at most 64 of them (1.5 MB),
+  so kernels over the same momenta build them once.  Each fiber's Bessel
+  products are formed once and serve both of its band edges.
 * `resolvent_integral_2d`: the t3 integral in closed form, the
   remainder on a midpoint grid in (t1, t2) graded toward the band edge,
   with grid doubling.  It shares nothing with the kernel, so it audits
@@ -20,6 +23,7 @@ z outside the fiber band:
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -127,7 +131,11 @@ class _AuditIntegrand:
         den = cos2 + lam * lam * sin2
         t1, t2 = 2.0 * np.arctan(lam * np.tan(half)) - phi
         w1, w2 = lam / den
-        p1, p2 = 4.0 * c * lam * lam * sin2 / den  # 4 c_j sin^2((t_j + phi_j)/2), free of cancellation
+        # a - b and b in units of a power of two near delta, an exact scaling
+        # under which gap (gap + 2 b) below cannot overflow
+        unit = math.ldexp(1.0, max(0, math.frexp(self.delta)[1] - 1))
+        b = self.b / unit
+        p1, p2 = 4.0 * c * lam * lam * sin2 / den / unit  # 4 c_j sin^2((t_j + phi_j)/2), free of cancellation
         # the weights ride on the mode factors: every Q_m3, hence the sum, is linear in them
         rows_exp = w1[:, None] * np.exp(1j * np.outer(t1, self.m1))  # (n, modes in m1)
         arg = np.outer(self.m2, t2)
@@ -139,16 +147,16 @@ class _AuditIntegrand:
             rows = slice(i0, i0 + step)
             inner = rows_exp[rows] @ self.blocks  # (levels, rows, modes in m2)
             q = np.concatenate([inner.real, -inner.imag], axis=2) @ cols_trig  # Q_m3 on the rows
-            gap = self.delta + p1[rows, None] + p2  # a - b
-            s = np.sqrt(gap * (gap + 2.0 * self.b))
-            rho = self.b / (gap + self.b + s)
+            gap = self.delta / unit + p1[rows, None] + p2  # a - b
+            s = np.sqrt(gap * (gap + 2.0 * b))
+            rho = b / (gap + b + s)
             acc = q[-1]  # Horner in rho, in place on the spent blocks
             for q_m3 in q[-2::-1]:
                 acc *= rho
                 acc += q_m3
             acc /= s
             partials.append(float(np.sum(acc)))
-        return self.sign * TWO_PI * math.fsum(partials) * (TWO_PI / n) ** 2
+        return self.sign * TWO_PI * (math.fsum(partials) / unit) * (TWO_PI / n) ** 2
 
 
 def resolvent_integral_2d(v: VFunction, k, z: float) -> IntegralResult:
@@ -207,8 +215,17 @@ _S_PANEL_EDGES = (
 _GL_PER_PANEL = 32
 _S_END = _S_PANEL_EDGES[-1]
 _ACTIVE_TOL = 1e-9
-# fibers per block of (fibers x nodes) work arrays: bounds the memory of a batch
+# rows per block of (rows x nodes) work arrays in `_Kernels.integrals`: bounds their memory
 _ROWS_PER_CHUNK = 32
+# Bessel products per block of `ResolventKernel.rows` (64 K doubles, 0.5 MB):
+# 18 fibers for the 11 order triples of a typical v; larger blocks ran slower
+_PRODUCTS_PER_CHUNK = 1 << 16
+# ive tables kept across kernels, keyed on (c, orders): a table row does
+# not depend on the other c of its call, but its last bits depend on the
+# top order, where the backward recurrence starts.  64 tables of at most
+# 9 orders x 320 nodes take at most 1.5 MB
+_IVE_CACHE_SIZE = 64
+_ive_cache: OrderedDict = OrderedDict()
 
 
 @lru_cache(maxsize=1)
@@ -219,6 +236,26 @@ def _laplace_nodes():
         nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
         weights.append(0.5 * (b - a) * w)
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _ive_tables(c: np.ndarray, orders: int, s_nodes: np.ndarray) -> np.ndarray:
+    """The (c, order, node) array of ive(order, 2 c s) for distinct c, through the table cache.
+
+    The tables missing from the cache come from one `_special.ive_orders`
+    call; the cache keeps the most recently used _IVE_CACHE_SIZE of them.
+    """
+    keys = [(x, orders) for x in c.tolist()]
+    tables = [_ive_cache.get(key) for key in keys]
+    missing = [i for i, table in enumerate(tables) if table is None]
+    if missing:
+        fresh = _special.ive_orders(orders, 2.0 * c[missing, None] * s_nodes)
+        for i, table in zip(missing, fresh.transpose(1, 0, 2)):
+            tables[i] = _ive_cache[keys[i]] = table.copy()
+    for key in keys:
+        _ive_cache.move_to_end(key)
+    while len(_ive_cache) > _IVE_CACHE_SIZE:
+        _ive_cache.popitem(last=False)
+    return np.stack(tables) if tables else np.empty((0, orders, s_nodes.size))
 
 
 def _tails(d_free: int, delta):
@@ -241,7 +278,7 @@ def _tails(d_free: int, delta):
     t_zero = e / delta
     t_one = _special.exp1(x)
     if d_free == 0:
-        return e * (S / delta + 1.0 / (delta * delta)), t_zero, t_one
+        return e * (S + 1.0 / delta) / delta, t_zero, t_one
     return t_zero, t_one, e / S - delta * t_one
 
 
@@ -294,7 +331,9 @@ class _Kernels:
         body, moment = np.empty((2, delta.size))
         for start in range(0, delta.size, _ROWS_PER_CHUNK):
             part = slice(start, start + _ROWS_PER_CHUNK)
-            terms = self.dot[rows[part]] * np.exp(-delta[part, None] * self.s_nodes)
+            terms = self.dot[rows[part]]
+            if delta[part].any():  # a block of edge rows needs no damping: e^0 = 1
+                terms *= np.exp(-delta[part, None] * self.s_nodes)
             body[part] = np.sum(terms, axis=1)
             if slope:
                 moment[part] = np.sum(terms * self.s_nodes, axis=1)
@@ -328,7 +367,10 @@ class ResolventKernel:
     v^2; the upper side carries an extra (-1)^(m1+m2+m3).  G is sampled
     on fixed Gauss panels covering [0, 262144], its ive(n, x) for
     n <= 8 by `_special.ive_orders` (the ascending series, backward
-    recurrence and Hankel's expansion, elementwise); each z evaluation is
+    recurrence and Hankel's expansion, elementwise), tabulated once per
+    distinct c_j and kept in a cache of the 64 most recent (c, orders)
+    tables.  The modes enter G through their order triples (|m1|, |m2|,
+    |m3|) only, and so do the tail coefficients; each z evaluation is
     then a weighted dot product plus a closed-form algebraic tail
     A T(d/2) + B T(d/2 + 1), where d counts the axes with c_j away from
     zero.  Edge limits (z at m or M) are exact: the tail term correctly
@@ -336,8 +378,8 @@ class ResolventKernel:
 
     k is one momentum or an (..., 3) array of them; m, M and the integrals
     follow its leading shape, floats for one momentum.  G is sampled only
-    for the (fiber, band edge) rows that `rows` asks for, one block at a
-    time, each row the same arithmetic a batch of one would do.
+    for the fibers that `rows` asks for, one block at a time, each fiber
+    the same arithmetic a batch of one would do.
     """
 
     def __init__(self, v: VFunction, k):
@@ -366,40 +408,41 @@ class ResolventKernel:
         active = c > _ACTIVE_TOL
         self._d_free = np.sum(active, axis=1)
 
-        # algebraic tail coefficients; terms with harmonics on a frozen axis
-        # are suppressed there (ive(n, ~0) ~ 0 for n > 0)
-        vol = TWO_PI ** 3
-        inv_sqrt = np.ones((n, len(keys)))
-        corr = np.zeros((n, len(keys)))
-        keep = np.ones((n, len(keys)), dtype=bool)
-        safe_c = np.where(active, c, 1.0)
-        for j in range(3):
-            on = active[:, j, None]
-            cj = safe_c[:, j, None]
-            mj = keys[:, j].astype(float)
-            inv_sqrt = np.where(on, inv_sqrt / np.sqrt(4.0 * math.pi * cj), inv_sqrt)
-            corr = np.where(on, corr + (4.0 * mj * mj - 1.0) / (16.0 * cj), corr)
-            keep &= on | (keys[:, j] == 0)
-        kept = [np.where(keep, w, 0.0) for w in weights]
-        self._A = np.stack([vol * np.sum(w * inv_sqrt, axis=1) for w in kept])
-        self._B = np.stack([-vol * np.sum(w * inv_sqrt * corr, axis=1) for w in kept])
-
         # the Bessel product of a mode depends on its orders |m_j| only: sum
         # the mode weights per order triple, mode by mode in key order
         index = {}
         triple_of = [index.setdefault(t, len(index)) for t in map(tuple, np.abs(keys).tolist())]
-        self._triples = list(index)
-        self._triple_weights = np.zeros((2, n, len(index)))  # (side, fiber, triple)
-        for summed, w in zip(self._triple_weights, weights):
-            np.add.at(summed.T, triple_of, w.T)
+        self._triples = np.array(list(index), dtype=int).reshape(-1, 3)
+        summed = np.zeros((2, len(index), n))  # (side, triple, fiber)
+        for out, w in zip(summed, weights):
+            np.add.at(out, triple_of, w.T)
+        self._triple_weights = np.ascontiguousarray(summed.transpose(2, 0, 1))  # (fiber, side, triple)
+
+        # algebraic tail coefficients, per order triple; triples with
+        # harmonics on a frozen axis are suppressed there (ive(n, ~0) ~ 0 for n > 0)
+        vol = TWO_PI ** 3
+        inv_sqrt = np.ones(n)
+        corr = np.zeros((n, len(index)))
+        keep = np.ones((n, len(index)), dtype=bool)
+        safe_c = np.where(active, c, 1.0)
+        for j in range(3):
+            on = active[:, j]
+            cj = safe_c[:, j]
+            oj = self._triples[:, j].astype(float)
+            inv_sqrt = np.where(on, inv_sqrt / np.sqrt(4.0 * math.pi * cj), inv_sqrt)
+            corr = np.where(on[:, None], corr + (4.0 * oj * oj - 1.0) / (16.0 * cj[:, None]), corr)
+            keep &= on[:, None] | (self._triples[:, j] == 0)
+        kept = np.where(keep[:, None, :], self._triple_weights, 0.0)  # (fiber, side, triple)
+        self._A = vol * inv_sqrt * np.sum(kept, axis=2).T
+        self._B = -vol * inv_sqrt * np.sum(kept * corr[:, None, :], axis=2).T
 
         # ive tables by harmonic order over the distinct c_j of all fibers
         self._s_nodes, s_weights = _laplace_nodes()
         self._scale = vol * s_weights
         c_unique, c_index = np.unique(c, return_inverse=True)
         self._c_index = c_index.reshape(n, 3)
-        orders = 1 + max((max(t) for t in self._triples), default=-1)
-        self._tables = _special.ive_orders(orders, 2.0 * c_unique[:, None] * self._s_nodes)
+        orders = 1 + int(self._triples.max(initial=-1))
+        self._tables = _ive_tables(c_unique, orders, self._s_nodes)  # (c, order, node)
 
     def _shaped(self, values: np.ndarray):
         """Per-fiber values in the leading shape of k, a float for one momentum."""
@@ -409,21 +452,28 @@ class ResolventKernel:
         """The kernels of the rows (fiber[r], side[r]), side 0 below the band and 1 above.
 
         Fibers are numbered in the row-major order of k's leading shape.
+        Each fiber asked for forms its Bessel products prod_j ive(o_j, 2 c_j s)
+        once per order triple, gathered from the (c, order, node) tables,
+        and one matrix product per fiber with its (side, triple) weights
+        gives G on both edges; a block holds at most 64 K products (0.5 MB).
+        The product has the same shape for a fiber in any batch, so a row
+        does not depend on the batch around it.
         """
         fiber, side = np.asarray(fiber, dtype=int), np.asarray(side, dtype=int)
-        tables = self._tables
-        dot = np.empty((fiber.size, self._s_nodes.size))
-        for start in range(0, fiber.size, _ROWS_PER_CHUNK):
-            part = slice(start, start + _ROWS_PER_CHUNK)
-            c_index = self._c_index[fiber[part]]
-            weights = self._triple_weights[side[part], fiber[part]]
-            g = np.zeros((c_index.shape[0], self._s_nodes.size))
-            for (o1, o2, o3), w in zip(self._triples, weights.T):
-                if w.any():
-                    g += w[:, None] * (
-                        tables[o1][c_index[:, 0]] * tables[o2][c_index[:, 1]] * tables[o3][c_index[:, 2]]
-                    )
-            dot[part] = g * self._scale
+        fibers, local = np.unique(fiber, return_inverse=True)
+        orders, nodes = self._tables.shape[1:]
+        tables = self._tables.reshape(-1, nodes)  # row c * orders + order
+        both = np.empty((fibers.size, 2, nodes))  # (fiber, side, node)
+        step = max(1, _PRODUCTS_PER_CHUNK // max(1, len(self._triples) * nodes))
+        for start in range(0, fibers.size, step):
+            part = fibers[start : start + step]
+            at = self._c_index[part, :, None] * orders + self._triples.T  # (fiber, axis, triple)
+            products = tables[at[:, 0]]  # (fiber, triple, node)
+            products *= tables[at[:, 1]]
+            products *= tables[at[:, 2]]
+            np.matmul(self._triple_weights[part], products, out=both[start : start + step])
+        both *= self._scale
+        dot = both.reshape(-1, nodes)[2 * local.reshape(-1) + side]
         return _Kernels(
             side, self._edges[side, fiber], self._eps[fiber], self._v_norm, dot,
             self._A[side, fiber], self._B[side, fiber], self._d_free[fiber], self._s_nodes,

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from friedrichs3d import cli, quadrature
 from friedrichs3d.bands import assemble_bands
 from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
+from friedrichs3d.lattice import band_endpoints
 from friedrichs3d.vfunction import parse_v
 
 
@@ -396,6 +397,35 @@ def test_verify_agrees_and_exits_clean(run_cli):
     assert errs[-1] < 1e-3
 
 
+def test_verify_confirms_a_missing_eigenvalue_inside_the_band(run_cli):
+    # no eigenvalue on either side: the grid's extreme eigenvalues stay in
+    # the band, although its diagonal hull misses the band edges by O(h^2)
+    code, out, err = run_cli("verify", "--gamma", "2", "--mu", "1e-9", "--v", "1", "--k", "0.3,0,0")
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert res["eigen_below"] is None and res["eigen_above"] is None
+    assert res["agreement"] is True
+    for row in res["rows"]:
+        assert res["m"] - 1e-3 <= row["oracle_low"] and row["oracle_high"] <= res["M"] + 1e-3
+        assert row["err_low"] == max(res["m"] - row["oracle_low"], 0.0)
+        assert row["err_high"] == max(row["oracle_high"] - res["M"], 0.0)
+
+
+def test_verify_refuses_an_oracle_eigenvalue_beyond_the_band_on_a_side_without_one(run_cli, monkeypatch):
+    # an oracle whose extreme eigenvalues leave [m, M] by 2 tol below and
+    # by tol / 2 above: the excess is each side's err, and only the lower fails
+    argv = ("verify", "--gamma", "2", "--mu", "1e-9", "--v", "1", "--k", "0.3,0,0", "--grids", "4")
+    m, M = (float(e) for e in band_endpoints(np.array([0.3, 0.0, 0.0])))
+    monkeypatch.setattr(cli, "extreme_eigenvalues", lambda op: (m - 2e-3, M + 5e-4))
+    code, out, err = run_cli(*argv)
+    res = json.loads(out)["results"]
+    assert res["eigen_below"] is None and res["eigen_above"] is None
+    (row,) = res["rows"]
+    assert row["err_low"] == pytest.approx(2e-3, rel=1e-9)
+    assert row["err_high"] == pytest.approx(5e-4, rel=1e-9)
+    assert code == 3 and res["agreement"] is False
+
+
 def test_verify_disagreement_sets_exit_three(run_cli):
     code, out, _ = run_cli(
         "verify", "--gamma", "-2", "--mu", "0.6", "--k", "0.5,0.1,-0.8",
@@ -449,6 +479,9 @@ def test_verify_rejects_a_bad_tolerance(run_cli, tmp_path, tol):
         ("bands", "--gamma", "2", "--mu", "0.5", "--v", "1e200", "--resolution", "4"),
         ("critical", "--gamma", "2", "--v", "1e200"),
         ("classify", "--gamma", "2", "--mu", "1", "--v", "1e200", "--point", "origin"),
+        # mu^2 underflows: at a frozen axis it met the infinite edge limit as 0 * inf
+        ("spectrum", "--v", "1", "--gamma=-1e-9", "--mu=1e-300", "--k=3.141592653589793,0.3,0.2"),
+        ("bands", "--gamma", "2", "--mu", "1e-170", "--v", "1", "--resolution", "2"),
     ],
 )
 def test_validation_failures_exit_two(run_cli, argv):
@@ -660,3 +693,59 @@ def test_critical_report_reruns_byte_identically(run_cli, tmp_path, gamma):
     code, _, err = run_cli("--config", str(first), "--output", str(second))
     assert code == 0, err
     assert filecmp.cmp(first, second, shallow=False)
+
+
+# extreme values for every numeric flag: zero, tiny, ordinary, huge, and the torus ends
+_FUZZ_VALUES = [0.0, 1e-300, -1e-300, 1e-12, 0.3, -0.3, 1.0, -1.5, 2.0, 13.5,
+                1e8, -1e8, 1e150, 1e300, math.pi, -math.pi]
+_FUZZ_MODES = [(a, b, c) for a in range(-4, 5) for b in range(-4, 5) for c in range(-4, 5)]
+_FUZZ_COEFFS = st.sampled_from([1e-8, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e8, 1e150]).flatmap(
+    lambda c: st.sampled_from([c, -c]))
+
+
+def _fuzz_argv(data, command):
+    value = st.sampled_from(_FUZZ_VALUES)
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(_FUZZ_MODES), _FUZZ_COEFFS),
+                               min_size=1, max_size=4, unique_by=lambda term: term[0]))
+    argv = [command, "--v=" + _v_text(terms)]
+    if command != "scan-gamma":
+        argv.append("--gamma=%r" % data.draw(value))
+    if command in ("spectrum", "bands", "classify", "verify"):
+        argv.append("--mu=%r" % data.draw(value))
+    if command in ("spectrum", "verify"):
+        argv.append("--k=" + ",".join(repr(data.draw(value)) for _ in range(3)))
+    if command == "bands":
+        argv.append("--resolution=%d" % data.draw(st.integers(2, 4)))
+    if command == "verify":
+        argv.append("--grids=4,8")
+    if command == "classify":
+        argv.append("--point=" + data.draw(st.sampled_from(["origin"] + ["lambda:%d" % i for i in range(1, 9)])))
+    if command == "scan-gamma":
+        ends = sorted(data.draw(value) for _ in range(2))
+        argv += ["--i=%d" % data.draw(st.integers(1, 8)), "--gamma-min=%r" % ends[0],
+                 "--gamma-max=%r" % ends[1], "--samples=%d" % data.draw(st.integers(2, 4))]
+    return argv
+
+
+def _numbers(obj):
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from _numbers(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _numbers(value)
+    elif isinstance(obj, float):
+        yield obj
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(cli._HANDLERS)), data=st.data())
+def test_every_argv_exits_cleanly_with_a_finite_report(run_cli, command, data):
+    # filterwarnings = error turns any numpy warning into an exception out of main
+    argv = _fuzz_argv(data, command)
+    code, out, err = run_cli(*argv)
+    assert code in (0, 2, 3), (argv, err)
+    if code == 0:
+        numbers = list(_numbers(json.loads(out)))
+        assert all(math.isfinite(x) for x in numbers), argv

@@ -97,6 +97,21 @@ def test_discrete_spectrum_matches_corner_closed_form(v_one):
         assert window.eigen_above == pytest.approx(above, abs=2e-10)
 
 
+@pytest.mark.parametrize("gamma", [-1.5, 3.0, 14.0, 1e300])
+@pytest.mark.parametrize("mu", [0.05, 0.2, 0.5, 30.0])
+@pytest.mark.parametrize("vtext", ["1", "0.9 + 0.2*cos(p1) - 0.3*sin(2*p2) + 0.25*cos(p2)*cos(p3)"])
+def test_corner_rows_converge_in_five_lockstep_steps(gamma, mu, vtext):
+    # J ~ 1/delta at k = (pi, pi, pi): a step in sqrt(delta) only about
+    # doubles delta there, up to 14 steps from the rank-one bound
+    params = ModelParams(gamma=gamma, mu=mu)
+    v = parse_v(vtext)
+    (row,), iterations = _solve_fibers(params, v, np.array([PI_POINT]))
+    assert iterations <= 5
+    window = find_discrete_spectrum(params, v, PI_POINT)
+    assert (window.eigen_below, window.eigen_above) == tuple(row[2:].tolist())
+    assert window.eigen_below < 12.0 < window.eigen_above
+
+
 def test_discrete_spectrum_existence_logic(v_cos_half):
     k = (0.8, -0.3, 0.2)
     # weak coupling at moderate gamma: no state detaches on either side
