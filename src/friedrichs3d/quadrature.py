@@ -10,10 +10,9 @@ z outside the fiber band:
   its (fiber, band edge) rows, since root-finding needs evaluations
   exactly at the edges, and the threshold integrals are its edge limits
   at k = 0 and on Lambda.  Its Bessel functions, and the erfc and E1 of
-  its tails, come from `_special`, which needs numpy and math only; the
-  Bessel tables are cached per (c, orders), at most 64 of them (1.5 MB),
-  so kernels over the same momenta build them once.  Each fiber's Bessel
-  products are formed once and serve both of its band edges.
+  its tails, come from `_special`, which needs numpy and math only.
+  Each fiber's Bessel products are formed once and serve both of its
+  band edges.
 * `resolvent_integral_2d`: the t3 integral in closed form, the
   remainder on a midpoint grid in (t1, t2) graded toward the band edge,
   with grid doubling.  It shares nothing with the kernel, so it audits
@@ -23,7 +22,6 @@ z outside the fiber band:
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -220,12 +218,6 @@ _ROWS_PER_CHUNK = 32
 # Bessel products per block of `ResolventKernel.rows` (64 K doubles, 0.5 MB):
 # 18 fibers for the 11 order triples of a typical v; larger blocks ran slower
 _PRODUCTS_PER_CHUNK = 1 << 16
-# ive tables kept across kernels, keyed on (c, orders): a table row does
-# not depend on the other c of its call, but its last bits depend on the
-# top order, where the backward recurrence starts.  64 tables of at most
-# 9 orders x 320 nodes take at most 1.5 MB
-_IVE_CACHE_SIZE = 64
-_ive_cache: OrderedDict = OrderedDict()
 
 
 @lru_cache(maxsize=1)
@@ -236,26 +228,6 @@ def _laplace_nodes():
         nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
         weights.append(0.5 * (b - a) * w)
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _ive_tables(c: np.ndarray, orders: int, s_nodes: np.ndarray) -> np.ndarray:
-    """The (c, order, node) array of ive(order, 2 c s) for distinct c, through the table cache.
-
-    The tables missing from the cache come from one `_special.ive_orders`
-    call; the cache keeps the most recently used _IVE_CACHE_SIZE of them.
-    """
-    keys = [(x, orders) for x in c.tolist()]
-    tables = [_ive_cache.get(key) for key in keys]
-    missing = [i for i, table in enumerate(tables) if table is None]
-    if missing:
-        fresh = _special.ive_orders(orders, 2.0 * c[missing, None] * s_nodes)
-        for i, table in zip(missing, fresh.transpose(1, 0, 2)):
-            tables[i] = _ive_cache[keys[i]] = table.copy()
-    for key in keys:
-        _ive_cache.move_to_end(key)
-    while len(_ive_cache) > _IVE_CACHE_SIZE:
-        _ive_cache.popitem(last=False)
-    return np.stack(tables) if tables else np.empty((0, orders, s_nodes.size))
 
 
 def _tails(d_free: int, delta):
@@ -368,12 +340,11 @@ class ResolventKernel:
     on fixed Gauss panels covering [0, 262144], its ive(n, x) for
     n <= 8 by `_special.ive_orders` (the ascending series, backward
     recurrence and Hankel's expansion, elementwise), tabulated once per
-    distinct c_j and kept in a cache of the 64 most recent (c, orders)
-    tables.  The modes enter G through their order triples (|m1|, |m2|,
-    |m3|) only, and so do the tail coefficients; each z evaluation is
-    then a weighted dot product plus a closed-form algebraic tail
-    A T(d/2) + B T(d/2 + 1), where d counts the axes with c_j away from
-    zero.  Edge limits (z at m or M) are exact: the tail term correctly
+    distinct c_j of the kernel.  The modes enter G through their order
+    triples (|m1|, |m2|, |m3|) only, and so do the tail coefficients;
+    each z evaluation is then a weighted dot product plus a closed-form
+    algebraic tail A T(d/2) + B T(d/2 + 1), where d counts the axes with
+    c_j away from zero.  Edge limits (z at m or M) are exact: the tail term correctly
     diverges when d <= 2 and stays finite for d = 3.
 
     k is one momentum or an (..., 3) array of them; m, M and the integrals
@@ -442,7 +413,8 @@ class ResolventKernel:
         c_unique, c_index = np.unique(c, return_inverse=True)
         self._c_index = c_index.reshape(n, 3)
         orders = 1 + int(self._triples.max(initial=-1))
-        self._tables = _ive_tables(c_unique, orders, self._s_nodes)  # (c, order, node)
+        tables = _special.ive_orders(orders, 2.0 * c_unique[:, None] * self._s_nodes)
+        self._tables = np.ascontiguousarray(tables.transpose(1, 0, 2))  # (c, order, node)
 
     def _shaped(self, values: np.ndarray):
         """Per-fiber values in the leading shape of k, a float for one momentum."""

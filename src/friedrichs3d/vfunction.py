@@ -139,18 +139,10 @@ class VFunction:
     # ---- evaluation ----------------------------------------------------
 
     def evaluate(self, px, py, pz):
-        """Evaluate on broadcastable coordinate arrays, as an array of their broadcast shape.
-
-        Term by term into one total, each term formed in one work array: the
-        arithmetic, and the order, of summing c * b1 * b2 * b3 from 0.
-        """
-        shape = np.broadcast(px, py, pz).shape
-        if not self.terms:
-            return np.zeros(shape)
-        total, term = np.empty(shape), np.empty(shape)
-        for i, ((m1, m2, m3), c) in enumerate(self.terms):
-            np.multiply(c * _basis_eval(m1, px) * _basis_eval(m2, py), _basis_eval(m3, pz), out=term)
-            np.add(total if i else 0.0, term, out=total)
+        """Evaluate on broadcastable coordinate arrays."""
+        total = 0.0
+        for (m1, m2, m3), c in self.terms:
+            total = total + c * _basis_eval(m1, px) * _basis_eval(m2, py) * _basis_eval(m3, pz)
         return total
 
     def __call__(self, p) -> float:

@@ -234,50 +234,6 @@ def test_batched_kernel_build_is_bit_identical_to_a_batch_of_one(rng):
         assert above[i] == one.integral_above(batch.M[i] + delta[n + i])
 
 
-def _kernel_values(kernel, n):
-    """dot, A, B and the integrals at a few distances of every (fiber, side) row of `kernel`."""
-    rows = np.arange(2 * n)
-    kernels = kernel.rows(np.tile(np.arange(n), 2), np.repeat([0, 1], n))
-    values = [kernels.dot, kernels.A, kernels.B, kernels.integrals(rows, np.zeros(rows.size))]
-    for delta in (1e-3, 0.7):
-        values += list(kernels.integrals(rows, np.full(rows.size, delta), slope=True))
-    return values
-
-
-def _same_bits(first, second):
-    return all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
-
-
-def test_kernel_from_a_warm_bessel_cache_is_bit_identical_to_a_cold_one(rng):
-    v = parse_v("0.9 + 0.2 * cos(p1) - 0.3 * sin(2*p2) + 0.25 * cos(p2) * cos(p3)")
-    points = [ORIGIN, PI_POINT, lambda_point(3), (np.pi, 0.3, -1.1)]
-    points += [rng.uniform(-np.pi, np.pi, 3) for _ in range(5)]
-    quadrature._ive_cache.clear()
-    cold = _kernel_values(ResolventKernel(v, points), len(points))
-    # the tables of these c at more orders (v^2 up to 8), then at the same orders
-    quadrature._ive_cache.clear()
-    ResolventKernel(parse_v("cos(4*p1) * cos(4*p2) * cos(4*p3)"), points)
-    assert _same_bits(cold, _kernel_values(ResolventKernel(v, points), len(points)))
-    assert _same_bits(cold, _kernel_values(ResolventKernel(v, points), len(points)))
-    # half the c cached, at the same orders
-    quadrature._ive_cache.clear()
-    ResolventKernel(v, points[::2])
-    assert _same_bits(cold, _kernel_values(ResolventKernel(v, points), len(points)))
-
-
-def test_bessel_cache_keeps_at_most_64_tables(rng):
-    v = parse_v("0.9 + 0.2 * cos(p1) - 0.3 * sin(2*p2)")
-    quadrature._ive_cache.clear()
-    batches = [rng.uniform(-np.pi, np.pi, (n, 3)) for n in (30, 12, 30)]  # 90, 36, 90 distinct c
-    warm = []
-    for points in batches:
-        warm.append(_kernel_values(ResolventKernel(v, points), len(points)))
-        assert len(quadrature._ive_cache) == 64
-    for points, values in zip(batches, warm):
-        quadrature._ive_cache.clear()
-        assert _same_bits(values, _kernel_values(ResolventKernel(v, points), len(points)))
-
-
 def test_kernel_follows_the_leading_shape_of_its_momenta(v_cos_half):
     grid = reduce_coords(np.linspace(-3.0, 3.0, 12).reshape(2, 2, 3))
     kernel = ResolventKernel(v_cos_half, grid)

@@ -214,27 +214,3 @@ def test_zero_detection():
     assert VFunction.zero().is_zero
     assert (parse_v("cos(p1)") - parse_v("cos(p1)")).is_zero
     assert not parse_v("1e-30").is_zero  # exact coefficients, no magnitude snapping
-
-
-@pytest.mark.parametrize("n", [8, 16, 32])
-@pytest.mark.parametrize(
-    "text",
-    [
-        # the benchmark's shape: a0 + a1 cos(p_i) + a2 h(2 p_j) + a3 cos(p_j) cos(p_k)
-        "0.83 - 0.21*cos(p2) + 0.3*cos(2*p3) - 0.12*cos(p3)*cos(p1)",
-        "0.61 + 0.34*cos(p1) - 0.17*sin(2*p2) + 0.29*cos(p2)*cos(p3)",
-        "-0.5*sin(p1)*sin(4*p2)*cos(3*p3) + 1e-8*cos(p3)",
-    ],
-)
-def test_grid_evaluation_keeps_the_bits_of_the_term_by_term_sum(text, n):
-    from friedrichs3d.vfunction import _basis_eval
-
-    v = parse_v(text)
-    g = -np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)
-    px, py, pz = g[:, None, None], g[None, :, None], g[None, None, :]
-    total = 0.0
-    for (m1, m2, m3), c in v.terms:
-        total = total + c * _basis_eval(m1, px) * _basis_eval(m2, py) * _basis_eval(m3, pz)
-    got = v.evaluate(px, py, pz)
-    assert got.shape == (n, n, n)
-    assert got.tobytes() == total.tobytes()
