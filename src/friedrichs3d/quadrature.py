@@ -344,8 +344,8 @@ class ResolventKernel:
     triples (|m1|, |m2|, |m3|) only, and so do the tail coefficients;
     each z evaluation is then a weighted dot product plus a closed-form
     algebraic tail A T(d/2) + B T(d/2 + 1), where d counts the axes with
-    c_j away from zero.  Edge limits (z at m or M) are exact: the tail term correctly
-    diverges when d <= 2 and stays finite for d = 3.
+    c_j away from zero.  Edge limits (z at m or M) are exact: the tail
+    term correctly diverges when d <= 2 and stays finite for d = 3.
 
     k is one momentum or an (..., 3) array of them; m, M and the integrals
     follow its leading shape, floats for one momentum.  G is sampled only
