@@ -170,9 +170,9 @@ def assemble_bands(
     grid link where a branch appears or disappears (detachment crossings),
     the periodic wrap links included; links are found by grid index.  The
     merged interval list always contains the essential band [0, 27/2].
-    Each pass solves its fibers on one kernel, both band edges of a fiber
-    in one lockstep group, and one fiber per orbit of the sign flips that
-    fix v^2: grid nodes and quarter points are keyed by their quarter-
+    Each pass solves its fibers in lockstep groups, one kernel per group
+    and both band edges of a fiber in one group, and one fiber per orbit
+    of the sign flips that fix v^2: grid nodes and quarter points are keyed by their quarter-
     lattice coordinates, and each distinguished momentum is solved alone.
     """
     if not (isinstance(resolution, int) and resolution >= 2):

@@ -352,6 +352,17 @@ def _cmd_verify(cfg: RunConfig, v: VFunction):
 # ---------------------------------------------------------------------------
 
 
+def _non_finite(path: str, obj):
+    """The path of the first inf or NaN in a report block, or None; a missing value is None."""
+    if isinstance(obj, dict):
+        items = (("%s.%s" % (path, key), value) for key, value in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = (("%s[%d]" % (path, i), value) for i, value in enumerate(obj))
+    else:
+        return path if isinstance(obj, float) and not math.isfinite(obj) else None
+    return next(filter(None, (_non_finite(*item) for item in items)), None)
+
+
 def _csv_escape(value) -> str:
     if value is None:
         return ""
@@ -444,6 +455,9 @@ def main(argv=None) -> int:
                     % (key, json.dumps(value), json.dumps(getattr(cfg, key)))
                 )
         results, diagnostics, code, table = _HANDLERS[cfg.command](cfg, v)
+        where = _non_finite("results", results) or _non_finite("diagnostics", diagnostics)
+        if where:
+            raise RuntimeError("%s is not a finite number" % where)
     except _NUMERICAL_ERRORS as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3

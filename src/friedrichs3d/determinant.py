@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import band_endpoints, reduce_coords, w0
-from .quadrature import ResolventKernel, _Kernels, resolvent_integral_2d
+from .quadrature import ResolventKernel, resolvent_integral_2d
 from .vfunction import VFunction
 
 __all__ = [
@@ -40,8 +40,9 @@ _ROOT_TOL = 1e-10
 _MAX_ITERATIONS = 200
 # relative rounding of Delta = w0 - z -+ mu^2 J, the floor of its attainable |Delta|
 _NOISE = 8.0 * np.finfo(float).eps
-# (fiber, band edge) rows per lockstep group of the solver: bounds its memory
-_ROWS_PER_GROUP = 512
+# (fiber, band edge) rows per lockstep group of the solver, one kernel each:
+# bounds its memory, 2.5 KB of G per row
+_ROWS_PER_GROUP = 2048
 
 
 class InsideEssentialSpectrum(ValueError):
@@ -129,8 +130,8 @@ def fredholm_delta(
     return value
 
 
-def _solve_rows(params: ModelParams, kernels: _Kernels):
-    """The root on each (fiber, band edge) row of `kernels`, or NaN where there is none.
+def _solve_rows(params: ModelParams, kernel: ResolventKernel):
+    """The root on each (fiber, band edge) row of `kernel`, or NaN where there is none.
 
     Each row is solved in its distance delta from its edge, where
     g(delta) = sign * Delta(edge + sign * delta) (sign -1 below, +1 above)
@@ -147,17 +148,24 @@ def _solve_rows(params: ModelParams, kernels: _Kernels):
     which bounds its error by the same since |g'| >= 1, or when its
     bracket is 1e-10 wide.  For mu > 1 the rows step on g / mu^2, whose
     terms cannot overflow, with the tolerance and the slope bound scaled
-    alike.  Returns the roots and the number of lockstep iterations.
+    alike.  J is finite at every delta > 0 and can diverge only at the
+    edge, so any other inf, or a NaN, means J left the float range:
+    RuntimeError.
+    Returns the roots and the number of lockstep iterations.
     """
-    sign, edge = np.where(kernels.side == 1, 1.0, -1.0), kernels.edge
-    w0 = kernels.eps + params.gamma
-    n = sign.size
+    edge = kernel.edge
+    n = edge.size
+    sign = np.where(np.arange(n) % 2, 1.0, -1.0)  # row 2 fiber + side
+    w0 = kernel.eps + params.gamma
     scale = max(1.0, params.mu ** 2)
     mu2 = params.mu ** 2 / scale
 
     def g(rows, delta, slope=False):
-        out = kernels.integrals(rows, delta, slope)
+        out = kernel.integrals(rows, delta, slope)
         j, k = out if slope else (out, None)
+        finite = np.isfinite(j)
+        if not finite.all() and (~finite & ((j != math.inf) | (delta > 0.0))).any():
+            raise RuntimeError("the resolvent integral exceeds the float range")
         z = edge[rows] + sign[rows] * delta
         value = sign[rows] * (w0[rows] - z) / scale + mu2 * j
         if not slope:
@@ -171,7 +179,7 @@ def _solve_rows(params: ModelParams, kernels: _Kernels):
     roots[pinched] = EDGE_MARGIN
     open_ = np.flatnonzero((at_edge > 0.0) & ~pinched)
     lo = np.full(open_.size, EDGE_MARGIN)
-    rank_one = np.maximum(sign[open_] * (w0[open_] - edge[open_]), 0.0) + params.mu * kernels.v_norm
+    rank_one = np.maximum(sign[open_] * (w0[open_] - edge[open_]), 0.0) + params.mu * kernel.v_norm
     bound = np.minimum(rank_one / scale, at_edge[open_]) * scale
     hi = bound + 1e-9 * (1.0 + bound)
     x = hi
@@ -203,7 +211,7 @@ def _solve_rows(params: ModelParams, kernels: _Kernels):
         # a row with no free axis has J ~ 1/delta: Newton on delta g, where
         # the sqrt(delta) step only about doubles delta.  A step past hi is
         # refused below, so its divisor may be cut there
-        pole = kernels.d_free[open_] == 0
+        pole = kernel.d_free[open_] == 0
         if pole.any():
             xp = x[pole]
             newton[pole] = xp / np.maximum(1.0 + value[pole] / (xp * slope[pole]), xp / hi[pole])
@@ -214,21 +222,20 @@ def _solve_rows(params: ModelParams, kernels: _Kernels):
 def _solve_fibers(params: ModelParams, v: VFunction, kc: np.ndarray):
     """The (n, 4) rows m, M, root below, root above at the reduced (n, 3) momenta `kc`, plus the iterations.
 
-    A missing root is NaN.  One `ResolventKernel` serves every fiber.  Both
-    band edges of a fiber step in the same lockstep group of at most
-    _ROWS_PER_GROUP rows, released before the next.  Rows step on their
-    own, so the iterations returned, the most of any group, do not depend
-    on the grouping.
+    A missing root is NaN.  The fibers step in lockstep groups of at most
+    _ROWS_PER_GROUP (fiber, band edge) rows, both band edges of a fiber in
+    one group, each group on its own `ResolventKernel`, released before
+    the next.  Rows step on their own, so the iterations returned, the
+    most of any group, do not depend on the grouping.
     """
-    kernel = ResolventKernel(v, kc)
     n = kc.shape[0]
-    rows = np.full((n, 4), np.nan)
-    rows[:, 0], rows[:, 1] = kernel.m, kernel.M
+    rows = np.empty((n, 4))
     iterations = 0
-    for start in range(0, 2 * n, _ROWS_PER_GROUP):
-        fiber, side = np.divmod(np.arange(start, min(start + _ROWS_PER_GROUP, 2 * n)), 2)
-        z, steps = _solve_rows(params, kernel.rows(fiber, side))
-        rows[fiber, 2 + side] = z
+    per_group = max(1, _ROWS_PER_GROUP // 2)
+    for start in range(0, n, per_group):
+        kernel = ResolventKernel(v, kc[start : start + per_group])
+        z, steps = _solve_rows(params, kernel)
+        rows[start : start + per_group] = np.hstack([kernel.edge.reshape(-1, 2), z.reshape(-1, 2)])
         iterations = max(iterations, steps)
     return rows, iterations
 

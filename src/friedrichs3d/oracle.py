@@ -149,7 +149,11 @@ def extreme_eigenvalues(op: DiscretizedOperator):
         if not coupled.any():
             return min(op.scalar, spectator_min), max(op.scalar, spectator_max)
         d, b = d[coupled], b[coupled]
-    b_norm = math.sqrt(float(np.dot(b, b)))
+    with np.errstate(over="ignore"):  # refused below, before the norm is formed
+        b_squared = float(np.dot(b, b))
+    if not math.isfinite(b_squared):
+        raise RuntimeError("the squared norm of the border, mu^2 h^3 sum v^2, exceeds the float range")
+    b_norm = math.sqrt(b_squared)
     work = np.empty_like(d)
     low, _ = _secular_root(op.scalar, d, b, True, b_norm, work)
     high, _ = _secular_root(op.scalar, d, b, False, b_norm, work)

@@ -6,13 +6,14 @@ z outside the fiber band:
 * `ResolventKernel`: exact reduction to a 1d Laplace transform of
   modified Bessel products, accurate to machine precision uniformly down
   to the band edge, including the edge limit itself.  The one kernel
-  class, for one momentum or many: the discrete-spectrum solver runs on
-  its (fiber, band edge) rows, since root-finding needs evaluations
-  exactly at the edges, and the threshold integrals are its edge limits
-  at k = 0 and on Lambda.  Its Bessel functions, and the erfc and E1 of
-  its tails, come from `_special`, which needs numpy and math only.
-  Each fiber's Bessel products are formed once and serve both of its
-  band edges.
+  class, for one momentum or many, with one evaluation entry,
+  `integrals`, on its (fiber, band edge) rows: the discrete-spectrum
+  solver runs on them, since root-finding needs evaluations exactly at
+  the edges, and the threshold integrals are their edge limits at k = 0
+  and on Lambda.  Its Bessel functions, and the erfc and E1 of its
+  tails, come from `_special`, which needs numpy and math only.  Each
+  fiber's Bessel products are formed once, on construction, and serve
+  both of its band edges.
 * `resolvent_integral_2d`: the t3 integral in closed form, the
   remainder on a midpoint grid in (t1, t2) graded toward the band edge,
   with grid doubling.  It shares nothing with the kernel, so it audits
@@ -213,9 +214,9 @@ _S_PANEL_EDGES = (
 _GL_PER_PANEL = 32
 _S_END = _S_PANEL_EDGES[-1]
 _ACTIVE_TOL = 1e-9
-# rows per block of (rows x nodes) work arrays in `_Kernels.integrals`: bounds their memory
+# rows per block of (rows x nodes) work arrays in `ResolventKernel.integrals`: bounds their memory
 _ROWS_PER_CHUNK = 32
-# Bessel products per block of `ResolventKernel.rows` (64 K doubles, 0.5 MB):
+# Bessel products per block of the `ResolventKernel` build (64 K doubles, 0.5 MB):
 # 18 fibers for the 11 order triples of a typical v; larger blocks ran slower
 _PRODUCTS_PER_CHUNK = 1 << 16
 
@@ -272,60 +273,6 @@ def _tail_table(delta, d_free):
     return table
 
 
-@dataclass(frozen=True, eq=False)
-class _Kernels:
-    """Laplace-Bessel kernels of a list of (fiber, band edge) rows of a `ResolventKernel`.
-
-    Row r is one fiber at its band edge `side[r]` (0 below, 1 above), which
-    lies at `edge[r]`; `eps[r]` is eps(k) of the fiber and `v_norm` is
-    ||v||_2.  `dot` holds G times its quadrature weights at the Laplace
-    nodes; A, B and d_free give the row's algebraic tail.
-    """
-
-    side: np.ndarray
-    edge: np.ndarray
-    eps: np.ndarray
-    v_norm: float
-    dot: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    d_free: np.ndarray
-    s_nodes: np.ndarray
-
-    def integrals(self, rows, delta, slope: bool = False):
-        """J = int v^2/|w1 - z| at distance delta >= 0 from the edge, for kernel `rows`.
-
-        With `slope`, also returns -dJ/d(delta) = int_0^inf s e^{-delta s} G(s) ds,
-        whose algebraic tail is the closed form one order down.
-        """
-        A, B = self.A[rows], self.B[rows]
-        below, lead, sub = _tail_table(delta, self.d_free[rows])
-        body, moment = np.empty((2, delta.size))
-        for start in range(0, delta.size, _ROWS_PER_CHUNK):
-            part = slice(start, start + _ROWS_PER_CHUNK)
-            terms = self.dot[rows[part]]
-            if delta[part].any():  # a block of edge rows needs no damping: e^0 = 1
-                terms *= np.exp(-delta[part, None] * self.s_nodes)
-            body[part] = np.sum(terms, axis=1)
-            if slope:
-                moment[part] = np.sum(terms * self.s_nodes, axis=1)
-        finite = np.isfinite(lead)
-        if finite.all():
-            value = body + A * lead + B * sub
-        else:
-            # the edge limit with d <= 2 diverges unless the leading weight
-            # vanishes (v^2 zero at the edge minimizer); then the subleading
-            # term decides when it converges
-            with np.errstate(invalid="ignore"):
-                edge = body + np.where(np.isfinite(sub), B * sub, 0.0)
-                value = np.where(
-                    finite, body + A * lead + B * sub, np.where(A > 1e-300, math.inf, edge)
-                )
-        if not slope:
-            return value
-        return value, moment + A * below + B * lead
-
-
 class ResolventKernel:
     """Fast evaluator of J(z) = int v^2 / |w1(k, .) - z| for z outside the band, per fiber.
 
@@ -348,9 +295,15 @@ class ResolventKernel:
     term correctly diverges when d <= 2 and stays finite for d = 3.
 
     k is one momentum or an (..., 3) array of them; m, M and the integrals
-    follow its leading shape, floats for one momentum.  G is sampled only
-    for the fibers that `rows` asks for, one block at a time, each fiber
-    the same arithmetic a batch of one would do.
+    follow its leading shape, floats for one momentum.  The kernel holds
+    both band edges of every fiber as rows numbered 2 fiber + side (side 0
+    below the band, 1 above; fibers in the row-major order of k's leading
+    shape).  Per row, `edge` is the band edge, `eps` is eps(k) of the
+    fiber, `G` holds G times its quadrature weights at the Laplace nodes,
+    and A, B and `d_free` give the algebraic tail; `v_norm` is ||v||_2.
+    `integrals` evaluates any list of rows.  A fiber's rows do not depend
+    on the batch around it.  Values beyond the float range come out inf
+    or NaN without a warning, for the caller to refuse.
     """
 
     def __init__(self, v: VFunction, k):
@@ -358,16 +311,16 @@ class ResolventKernel:
         self._shape = kc.shape[:-1]
         kc = kc.reshape(-1, 3)
         n = kc.shape[0]
-        self._edges = np.stack(band_endpoints(kc))  # (side, fiber)
-        self.m, self.M = (self._shaped(e) for e in self._edges)
-        self._eps = epsilon(kc)
+        self.edge = np.stack(band_endpoints(kc), axis=1).reshape(-1)
+        self.m, self.M = self._shaped(self.edge[0::2]), self._shaped(self.edge[1::2])
+        self.eps = np.repeat(epsilon(kc), 2)
 
         sq = v.squared_exp_coeffs()
         modes = sorted(sq)
         keys = np.array(modes, dtype=int).reshape(-1, 3)
         beta = np.array([sq[m] for m in modes], dtype=complex)
         # ||v||_2^2 = (2 pi)^3 times the mean of v^2
-        self._v_norm = math.sqrt(max(TWO_PI ** 3 * float(np.real(sq.get((0, 0, 0), 0.0))), 0.0))
+        self.v_norm = math.sqrt(max(TWO_PI ** 3 * float(np.real(sq.get((0, 0, 0), 0.0))), 0.0))
 
         theta = kc[:, 0, None] * keys[:, 0] + kc[:, 1, None] * keys[:, 1] + kc[:, 2, None] * keys[:, 2]
         w_below = np.real(beta * np.exp(-0.5j * theta))
@@ -377,17 +330,17 @@ class ResolventKernel:
         c = np.cos(kc / 2.0)
         c = np.where(c < 0.0, 0.0, c)  # guard roundoff at k_j = pi
         active = c > _ACTIVE_TOL
-        self._d_free = np.sum(active, axis=1)
+        self.d_free = np.repeat(np.sum(active, axis=1), 2)
 
         # the Bessel product of a mode depends on its orders |m_j| only: sum
         # the mode weights per order triple, mode by mode in key order
         index = {}
         triple_of = [index.setdefault(t, len(index)) for t in map(tuple, np.abs(keys).tolist())]
-        self._triples = np.array(list(index), dtype=int).reshape(-1, 3)
+        triples = np.array(list(index), dtype=int).reshape(-1, 3)
         summed = np.zeros((2, len(index), n))  # (side, triple, fiber)
         for out, w in zip(summed, weights):
             np.add.at(out, triple_of, w.T)
-        self._triple_weights = np.ascontiguousarray(summed.transpose(2, 0, 1))  # (fiber, side, triple)
+        triple_weights = np.ascontiguousarray(summed.transpose(2, 0, 1))  # (fiber, side, triple)
 
         # algebraic tail coefficients, per order triple; triples with
         # harmonics on a frozen axis are suppressed there (ive(n, ~0) ~ 0 for n > 0)
@@ -399,70 +352,88 @@ class ResolventKernel:
         for j in range(3):
             on = active[:, j]
             cj = safe_c[:, j]
-            oj = self._triples[:, j].astype(float)
+            oj = triples[:, j].astype(float)
             inv_sqrt = np.where(on, inv_sqrt / np.sqrt(4.0 * math.pi * cj), inv_sqrt)
             corr = np.where(on[:, None], corr + (4.0 * oj * oj - 1.0) / (16.0 * cj[:, None]), corr)
-            keep &= on[:, None] | (self._triples[:, j] == 0)
-        kept = np.where(keep[:, None, :], self._triple_weights, 0.0)  # (fiber, side, triple)
-        self._A = vol * inv_sqrt * np.sum(kept, axis=2).T
-        self._B = -vol * inv_sqrt * np.sum(kept * corr[:, None, :], axis=2).T
+            keep &= on[:, None] | (triples[:, j] == 0)
+        kept = np.where(keep[:, None, :], triple_weights, 0.0)  # (fiber, side, triple)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.A = (vol * inv_sqrt[:, None] * np.sum(kept, axis=2)).reshape(-1)
+            self.B = (-vol * inv_sqrt[:, None] * np.sum(kept * corr[:, None, :], axis=2)).reshape(-1)
 
         # ive tables by harmonic order over the distinct c_j of all fibers
         self._s_nodes, s_weights = _laplace_nodes()
-        self._scale = vol * s_weights
+        nodes = self._s_nodes.size
         c_unique, c_index = np.unique(c, return_inverse=True)
-        self._c_index = c_index.reshape(n, 3)
-        orders = 1 + int(self._triples.max(initial=-1))
+        c_index = c_index.reshape(n, 3)
+        orders = 1 + int(triples.max(initial=-1))
         tables = _special.ive_orders(orders, 2.0 * c_unique[:, None] * self._s_nodes)
-        self._tables = np.ascontiguousarray(tables.transpose(1, 0, 2))  # (c, order, node)
+        tables = tables.transpose(1, 0, 2).reshape(-1, nodes)  # row c * orders + order
+
+        # G on both edges: each fiber forms its Bessel products prod_j
+        # ive(o_j, 2 c_j s) once per order triple, gathered from the tables,
+        # and one matrix product with its (side, triple) weights; a block
+        # holds at most 64 K products (0.5 MB), and the product has the
+        # same shape for a fiber in any batch
+        G = np.empty((n, 2, nodes))  # (fiber, side, node)
+        step = max(1, _PRODUCTS_PER_CHUNK // max(1, len(triples) * nodes))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, step):
+                part = slice(start, start + step)
+                at = c_index[part, :, None] * orders + triples.T  # (fiber, axis, triple)
+                products = tables[at[:, 0]]  # (fiber, triple, node)
+                products *= tables[at[:, 1]]
+                products *= tables[at[:, 2]]
+                np.matmul(triple_weights[part], products, out=G[part])
+            G *= vol * s_weights
+        self.G = G.reshape(-1, nodes)
 
     def _shaped(self, values: np.ndarray):
         """Per-fiber values in the leading shape of k, a float for one momentum."""
         return values.reshape(self._shape) if self._shape else float(values[0])
 
-    def rows(self, fiber, side) -> _Kernels:
-        """The kernels of the rows (fiber[r], side[r]), side 0 below the band and 1 above.
+    def integrals(self, rows, delta, slope: bool = False):
+        """J = int v^2/|w1 - z| on kernel `rows` at distances delta >= 0 from their edges.
 
-        Fibers are numbered in the row-major order of k's leading shape.
-        Each fiber asked for forms its Bessel products prod_j ive(o_j, 2 c_j s)
-        once per order triple, gathered from the (c, order, node) tables,
-        and one matrix product per fiber with its (side, triple) weights
-        gives G on both edges; a block holds at most 64 K products (0.5 MB).
-        The product has the same shape for a fiber in any batch, so a row
-        does not depend on the batch around it.
+        rows and delta are 1d arrays of one length.  With `slope`, also
+        returns -dJ/d(delta) = int_0^inf s e^{-delta s} G(s) ds, whose
+        algebraic tail is the closed form one order down.
         """
-        fiber, side = np.asarray(fiber, dtype=int), np.asarray(side, dtype=int)
-        fibers, local = np.unique(fiber, return_inverse=True)
-        orders, nodes = self._tables.shape[1:]
-        tables = self._tables.reshape(-1, nodes)  # row c * orders + order
-        both = np.empty((fibers.size, 2, nodes))  # (fiber, side, node)
-        step = max(1, _PRODUCTS_PER_CHUNK // max(1, len(self._triples) * nodes))
-        for start in range(0, fibers.size, step):
-            part = fibers[start : start + step]
-            at = self._c_index[part, :, None] * orders + self._triples.T  # (fiber, axis, triple)
-            products = tables[at[:, 0]]  # (fiber, triple, node)
-            products *= tables[at[:, 1]]
-            products *= tables[at[:, 2]]
-            np.matmul(self._triple_weights[part], products, out=both[start : start + step])
-        both *= self._scale
-        dot = both.reshape(-1, nodes)[2 * local.reshape(-1) + side]
-        return _Kernels(
-            side, self._edges[side, fiber], self._eps[fiber], self._v_norm, dot,
-            self._A[side, fiber], self._B[side, fiber], self._d_free[fiber], self._s_nodes,
-        )
+        A, B = self.A[rows], self.B[rows]
+        below, lead, sub = _tail_table(delta, self.d_free[rows])
+        body, moment = np.empty((2, delta.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, delta.size, _ROWS_PER_CHUNK):
+                part = slice(start, start + _ROWS_PER_CHUNK)
+                terms = self.G[rows[part]]
+                if delta[part].any():  # a block of edge rows needs no damping: e^0 = 1
+                    terms *= np.exp(-delta[part, None] * self._s_nodes)
+                body[part] = np.sum(terms, axis=1)
+                if slope:
+                    moment[part] = np.sum(terms * self._s_nodes, axis=1)
+            finite = np.isfinite(lead)
+            if finite.all():
+                value = body + A * lead + B * sub
+            else:
+                # the edge limit with d <= 2 diverges unless the leading weight
+                # vanishes (v^2 zero at the edge minimizer); then the subleading
+                # term decides when it converges
+                edge = body + np.where(np.isfinite(sub), B * sub, 0.0)
+                value = np.where(finite, body + A * lead + B * sub, np.where(A > 1e-300, math.inf, edge))
+            if not slope:
+                return value
+            return value, moment + A * below + B * lead
 
     def _integral(self, side: int, z):
         """J at z per fiber on one side of the band; z broadcasts to the leading shape of k."""
         z = np.broadcast_to(np.asarray(z, dtype=float), self._shape).reshape(-1)
-        edge = self._edges[side]
+        edge = self.edge[side::2]
         delta = z - edge if side else edge - z
         if np.any(delta < -1e-9):
             i = np.argmax(delta < -1e-9)
             where = ("above the lower", "below the upper")[side]
             raise ValueError("z = %.17g lies %s band edge %.17g" % (z[i], where, edge[i]))
-        fiber = np.arange(edge.size)
-        kernels = self.rows(fiber, np.full(edge.size, side))
-        return self._shaped(kernels.integrals(fiber, np.maximum(delta, 0.0)))
+        return self._shaped(self.integrals(2 * np.arange(edge.size) + side, np.maximum(delta, 0.0)))
 
     def integral_below(self, z):
         """J(z) = int v^2/(w1 - z) dt for z <= m(k); z = m gives the edge limit."""

@@ -86,13 +86,13 @@ def _finite(value: float, what: str) -> float:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _threshold_integrals(v: VFunction) -> tuple:
     """The nine threshold integrals by index t, from one kernel over the nine momenta."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        kernel = ResolventKernel(v, (ORIGIN,) + lambda_points())
-        # one row per momentum at its threshold: the lower edge at the
-        # origin, the upper edge on Lambda; both edge limits sit at delta = 0
-        fiber = np.arange(9)
-        values = kernel.rows(fiber, fiber > 0).integrals(fiber, np.zeros(9)).tolist()
-        values[0] *= 2.0  # w1(0, .) = 2 eps, so int v^2/eps is twice the lower edge limit
+    kernel = ResolventKernel(v, (ORIGIN,) + lambda_points())
+    # one row per momentum at its threshold: the lower edge at the origin,
+    # the upper edge on Lambda; both edge limits sit at delta = 0.  An
+    # overflow comes out non-finite and is refused below
+    fiber = np.arange(9)
+    values = kernel.integrals(2 * fiber + (fiber > 0), np.zeros(9)).tolist()
+    values[0] *= 2.0  # w1(0, .) = 2 eps, so int v^2/eps is twice the lower edge limit
     return tuple(
         _finite(x, "%s threshold integral" % ("lambda" if t else "origin")) for t, x in enumerate(values)
     )

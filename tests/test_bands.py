@@ -143,13 +143,21 @@ def test_batched_fibers_match_single_fiber_solves(v_cos_half):
                 assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_lockstep_grouping_changes_neither_rows_nor_iterations(monkeypatch):
-    # rows step on their own, so a group cap changes only how many rows share a step
+@pytest.mark.parametrize("cap", [2, 6, 40])
+def test_lockstep_grouping_changes_neither_rows_nor_iterations(monkeypatch, cap):
+    # rows step on their own and a fiber's rows do not depend on its kernel's
+    # other fibers, so a group cap changes only how many rows share a step
     v = parse_v("0.9 + 0.3*sin(p1) + 0.2*sin(2*p2) + 0.25*cos(p2)*sin(p3) + 0.1*sin(p3)")
     params = ModelParams(gamma=3.0, mu=0.1)
     whole = assemble_bands(params, v, resolution=4)
-    monkeypatch.setattr(determinant, "_ROWS_PER_GROUP", 6)
+    built = []
+    init = determinant.ResolventKernel.__init__
+    monkeypatch.setattr(
+        determinant.ResolventKernel, "__init__", lambda self, *args: built.append(1) or init(self, *args)
+    )
+    monkeypatch.setattr(determinant, "_ROWS_PER_GROUP", cap)
     grouped = assemble_bands(params, v, resolution=4)
+    assert len(built) > 2  # some pass takes several kernels
     assert np.array_equal(grouped.eigen_branches, whole.eigen_branches, equal_nan=True)
     assert grouped.root_iterations == whole.root_iterations
 

@@ -496,15 +496,42 @@ def test_validation_failures_exit_two(run_cli, argv):
         ("critical", "--gamma", "2", "--v", "1e153"),
         ("critical", "--gamma", "2", "--v", "1.3e153"),
         ("classify", "--gamma", "2", "--mu", "1", "--v", "1.3e153", "--point", "origin"),
+        ("critical", "--gamma", "2", "--v", "1e154"),
     ],
 )
 def test_overflowing_threshold_quantities_exit_three(run_cli, argv):
     # every threshold integral, coupling and crossover is finite in exact
     # arithmetic: at v = 1e153 gamma_star overflows, at 1.3e153 the origin
-    # integral does, though v^2 = 1.69e306 is finite
+    # integral does, though v^2 = 1.69e306 is finite, and at 1e154 the
+    # kernel's own tail coefficients do
     code, out, err = run_cli(*argv)
     assert code == 3
     assert out == "" and "numerical failure" in err
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        # mu^2 J overflows in the audit: the report would hold residual inf
+        (("spectrum", "--v", "100000000.0*cos(1*p1)*cos(1*p2)", "--gamma=1e+300", "--mu=1e+150",
+          "--k=1e+300,1e+150,1e+150"), "diagnostics.residuals.below is not a finite number"),
+        (("spectrum", "--v", "100000000.0*cos(1*p1)*cos(1*p2)", "--gamma=1e+300", "--mu=1e+150",
+          "--k=1e+300,1e+150,1e+150", "--format", "csv"), "diagnostics.residuals.below is not a finite number"),
+        # ||v||^2 / delta beyond the float range next to the band
+        (("bands", "--v", "1e+150*cos(4*p3) + 1e+150*sin(3*p1)*sin(1*p2) + 1000.0*sin(1*p1)*sin(1*p2)*sin(1*p3)"
+          " + 3.0*sin(4*p1)*cos(2*p2)*cos(2*p3)", "--gamma=0.0", "--mu=1e-12", "--resolution=3"),
+         "the resolvent integral exceeds the float range"),
+        # the oracle's border mu v h^(3/2) has a squared norm beyond the float range
+        (("verify", "--v", "-0.5*cos(2*p1)*sin(2*p2)*sin(3*p3) + -1e+150*cos(4*p1)*cos(3*p3)"
+          " + 100000000.0*sin(2*p1)*cos(1*p2)*sin(1*p3)", "--gamma=1e+300", "--mu=100000000.0",
+          "--k=2.0,0.3,-0.3", "--grids=4,8"), "the squared norm of the border"),
+    ],
+)
+def test_numbers_beyond_the_float_range_exit_three_without_a_warning(run_cli, argv, why):
+    # filterwarnings = error turns any numpy warning into an exception out of main
+    code, out, err = run_cli(*argv)
+    assert code == 3
+    assert out == "" and "numerical failure: " + why in err
 
 
 def test_deeply_nested_config_exits_two(run_cli, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from friedrichs3d import quadrature, thresholds
+from friedrichs3d import bands, determinant, quadrature, thresholds
 from friedrichs3d.bands import assemble_bands
 from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
 from friedrichs3d.lattice import ORIGIN, PI_POINT, lambda_point, reduce_coords
@@ -211,27 +211,25 @@ def test_batched_kernel_build_is_bit_identical_to_a_batch_of_one(rng):
     points += [rng.uniform(-np.pi, np.pi, 3) for _ in range(8)]
     n = len(points)
     batch = ResolventKernel(v, points)
-    kernels = batch.rows(np.tile(np.arange(n), 2), np.repeat([0, 1], n))
-    rows = np.arange(2 * n)
+    rows = np.arange(2 * n)  # row 2 fiber + side
     delta = np.linspace(0.0, 40.0, rows.size)
-    values = kernels.integrals(rows, delta)
-    below = batch.integral_below(batch.m - delta[:n])
-    above = batch.integral_above(batch.M + delta[n:])
+    values = batch.integrals(rows, delta)
+    below = batch.integral_below(batch.m - delta[0::2])
+    above = batch.integral_above(batch.M + delta[1::2])
     assert below.shape == above.shape == (n,)
     for i, p in enumerate(points):
         one = ResolventKernel(v, p)
         assert (batch.m[i], batch.M[i]) == (one.m, one.M)
-        pair = one.rows([0, 0], [0, 1])
-        assert pair.v_norm == kernels.v_norm
+        assert one.v_norm == batch.v_norm
         for side in (0, 1):
-            r = side * n + i
+            r = 2 * i + side
             for name in ("edge", "eps", "A", "B", "d_free"):
-                assert getattr(kernels, name)[r] == getattr(pair, name)[side]
-            assert np.array_equal(kernels.dot[r], pair.dot[side])
-            alone = pair.integrals(np.array([side]), delta[r : r + 1])
+                assert getattr(batch, name)[r] == getattr(one, name)[side]
+            assert np.array_equal(batch.G[r], one.G[side])
+            alone = one.integrals(np.array([side]), delta[r : r + 1])
             assert alone[0] == values[r]
-        assert below[i] == one.integral_below(batch.m[i] - delta[i])
-        assert above[i] == one.integral_above(batch.M[i] + delta[n + i])
+        assert below[i] == one.integral_below(batch.m[i] - delta[2 * i])
+        assert above[i] == one.integral_above(batch.M[i] + delta[2 * i + 1])
 
 
 def test_kernel_follows_the_leading_shape_of_its_momenta(v_cos_half):
@@ -249,7 +247,8 @@ def test_kernel_follows_the_leading_shape_of_its_momenta(v_cos_half):
     # an empty batch builds and evaluates nothing
     empty = ResolventKernel(v_cos_half, np.empty((0, 3)))
     assert empty.m.shape == empty.integral_above(empty.M).shape == (0,)
-    assert empty.rows([], []).dot.shape == (0, quadrature._laplace_nodes()[0].size)
+    assert empty.G.shape == (0, quadrature._laplace_nodes()[0].size)
+    assert empty.integrals(np.arange(0), np.zeros(0)).shape == (0,)
 
 
 def test_every_kernel_user_builds_one_kernel_per_batch(monkeypatch, v_one):
@@ -264,15 +263,22 @@ def test_every_kernel_user_builds_one_kernel_per_batch(monkeypatch, v_one):
     params = ModelParams(gamma=-1.5, mu=0.5)
     find_discrete_spectrum(params, v_one, (0.5, 0.1, -0.8))
     assert built == [(1, 3)]
-    # one kernel for the grid and one for the refinement pass, empty here
+    # one kernel per lockstep group of each pass: none for the refinement pass, empty here
     built.clear()
+    passes = []
+    solve = bands._solve_fibers
+    monkeypatch.setattr(bands, "_solve_fibers", lambda *args: passes.append(len(args[2])) or solve(*args))
     structure = assemble_bands(params, v_one, 8)
     assert len(structure.eigen_branches) == 8 ** 3 + 10
-    assert built == [(structure.fibers_solved, 3), (0, 3)]
+    assert passes == [structure.fibers_solved, 0]
+    assert built == _group_shapes(structure.fibers_solved, determinant._ROWS_PER_GROUP // 2)
+    # a pass of more fibers than a group holds takes several kernels
     built.clear()
+    passes.clear()
+    monkeypatch.setattr(determinant, "_ROWS_PER_GROUP", 8)
     structure = assemble_bands(ModelParams(gamma=8.0, mu=0.3), parse_v("1 - cos(p1)"), 4)
-    assert len(built) == 2 and built[1][0] > 0
-    assert sum(n for n, _ in built) == structure.fibers_solved
+    assert sum(passes) == structure.fibers_solved and min(passes) > 4
+    assert built == _group_shapes(passes[0], 4) + _group_shapes(passes[1], 4)
     # one for the nine threshold points of a v: its integrals are cached after that
     built.clear()
     thresholds._threshold_integrals.cache_clear()
@@ -282,17 +288,22 @@ def test_every_kernel_user_builds_one_kernel_per_batch(monkeypatch, v_one):
     assert built == [(9, 3)]
 
 
+def _group_shapes(fibers, per_group):
+    """The k shapes of the kernels of `fibers` fibers in lockstep groups of `per_group`."""
+    return [(min(per_group, fibers - start), 3) for start in range(0, fibers, per_group)]
+
+
 @pytest.mark.parametrize(
     "kcoords", [(0.4, -1.2, 2.0), (np.pi, -1.2, 2.0), (np.pi, np.pi, 2.0), (np.pi, np.pi, np.pi)]
 )
 def test_kernel_slope_is_the_derivative_of_the_integral(v_cos_half, kcoords):
     # the solver's Newton slope, for d = 3, 2, 1, 0 free axes
-    kernels = ResolventKernel(v_cos_half, kcoords).rows([0, 0], [0, 1])
+    kernel = ResolventKernel(v_cos_half, kcoords)
     for side in (0, 1):
         for delta in (1e-3, 0.5, 5.0):
             h = 1e-4 * delta
             probe = np.array([delta, delta - h, delta + h])
-            values, slopes = kernels.integrals(np.full(3, side), probe, slope=True)
+            values, slopes = kernel.integrals(np.full(3, side), probe, slope=True)
             assert slopes[0] == pytest.approx((values[1] - values[2]) / (2.0 * h), rel=1e-6)
 
 
