@@ -3,14 +3,16 @@
 Every run emits a single report (JSON by default, CSV for tabular
 output) that embeds the fully resolved configuration; rerunning with
 `--config <report.json>` reproduces the report byte for byte.  Exit
-codes: 0 success, 2 invalid input or out-of-domain request, 3 numerical
-quality failure (non-convergence, oracle disagreement).
+codes: 0 success, 2 invalid input, out-of-domain request or an
+unwritable --output, 3 numerical quality failure (non-convergence,
+oracle disagreement).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -66,7 +68,8 @@ class RunConfig:
         return ModelParams(gamma=self.gamma, mu=self.mu)
 
     def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
+        # a shallow copy: asdict would deep-copy every list
+        data = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
         # the delivery destination is not part of the run's identity; keeping
         # it out makes --config reruns byte-identical wherever they are sent
         data["output"] = None
@@ -352,15 +355,16 @@ def _cmd_verify(cfg: RunConfig, v: VFunction):
 # ---------------------------------------------------------------------------
 
 
-def _non_finite(path: str, obj):
-    """The path of the first inf or NaN in a report block, or None; a missing value is None."""
+def _leaves(prefix: str, obj):
+    """The (path, leaf) pairs of a report block, dict keys sorted; an empty prefix starts at the bare keys."""
     if isinstance(obj, dict):
-        items = (("%s.%s" % (path, key), value) for key, value in obj.items())
+        for key in sorted(obj):
+            yield from _leaves("%s.%s" % (prefix, key) if prefix else str(key), obj[key])
     elif isinstance(obj, (list, tuple)):
-        items = (("%s[%d]" % (path, i), value) for i, value in enumerate(obj))
+        for idx, item in enumerate(obj):
+            yield from _leaves("%s[%d]" % (prefix, idx), item)
     else:
-        return path if isinstance(obj, float) and not math.isfinite(obj) else None
-    return next(filter(None, (_non_finite(*item) for item in items)), None)
+        yield prefix, obj
 
 
 def _csv_escape(value) -> str:
@@ -371,17 +375,6 @@ def _csv_escape(value) -> str:
     return str(value)
 
 
-def _flatten(prefix: str, obj, rows):
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            _flatten("%s.%s" % (prefix, key) if prefix else str(key), obj[key], rows)
-    elif isinstance(obj, (list, tuple)):
-        for idx, item in enumerate(obj):
-            _flatten("%s[%d]" % (prefix, idx), item, rows)
-    else:
-        rows.append((prefix, obj))
-
-
 def _to_csv(results: dict, table) -> str:
     """The CSV report: the command's float table, else the results flattened to key,value rows.
 
@@ -390,9 +383,8 @@ def _to_csv(results: dict, table) -> str:
     keeps 0.0 and -0.0 apart.
     """
     if table is None:
-        rows = []
-        _flatten("", results, rows)
-        return "\n".join(["key,value"] + [",".join(map(_csv_escape, row)) for row in rows]) + "\n"
+        rows = [",".join(map(_csv_escape, leaf)) for leaf in _leaves("", results)]
+        return "\n".join(["key,value"] + rows) + "\n"
     header, values = table
     values = np.ascontiguousarray(values, dtype=float)
     bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
@@ -455,9 +447,11 @@ def main(argv=None) -> int:
                     % (key, json.dumps(value), json.dumps(getattr(cfg, key)))
                 )
         results, diagnostics, code, table = _HANDLERS[cfg.command](cfg, v)
-        where = _non_finite("results", results) or _non_finite("diagnostics", diagnostics)
-        if where:
-            raise RuntimeError("%s is not a finite number" % where)
+        # a missing value is None; inf or NaN is a numerical failure
+        leaves = itertools.chain(_leaves("results", results), _leaves("diagnostics", diagnostics))
+        for where, leaf in leaves:
+            if isinstance(leaf, float) and not math.isfinite(leaf):
+                raise RuntimeError("%s is not a finite number" % where)
     except _NUMERICAL_ERRORS as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
@@ -478,7 +472,11 @@ def main(argv=None) -> int:
         "results": results,
         "diagnostics": diagnostics,
     }
-    _emit(report, cfg, table)
+    try:
+        _emit(report, cfg, table)
+    except OSError as exc:
+        print("error: cannot write the report: %s" % exc, file=sys.stderr)
+        return 2
     return code
 
 

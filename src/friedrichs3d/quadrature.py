@@ -10,10 +10,12 @@ z outside the fiber band:
   `integrals`, on its (fiber, band edge) rows: the discrete-spectrum
   solver runs on them, since root-finding needs evaluations exactly at
   the edges, and the threshold integrals are their edge limits at k = 0
-  and on Lambda.  Its Bessel functions, and the erfc and E1 of its
-  tails, come from `_special`, which needs numpy and math only.  Each
-  fiber's Bessel products are formed once, on construction, and serve
-  both of its band edges.
+  and on Lambda.  Every row is one formula: the closed-form tails give
+  the edge limits, and the build decides which leading weights vanish.
+  Its Bessel functions, and the erfc and E1 of its tails, come from
+  `_special`, which needs numpy and math only.  Each fiber's Bessel
+  products are formed once, on construction, and serve both of its band
+  edges.
 * `resolvent_integral_2d`: the t3 integral in closed form, the
   remainder on a midpoint grid in (t1, t2) graded toward the band edge,
   with grid doubling.  It shares nothing with the kernel, so it audits
@@ -219,6 +221,13 @@ _ROWS_PER_CHUNK = 32
 # Bessel products per block of the `ResolventKernel` build (64 K doubles, 0.5 MB):
 # 18 fibers for the 11 order triples of a typical v; larger blocks ran slower
 _PRODUCTS_PER_CHUNK = 1 << 16
+# on a row with d <= 2 free axes, a leading tail weight at most this fraction
+# of the mean of v^2 is exactly 0.  No mode weight of v^2 exceeds the mean
+# (Cauchy-Schwarz), so rounding over at most 729 modes stays near 2e-13 of it.
+# A genuine weight below the cut matters only where its tail is comparable to
+# J, at delta ~ 1e-24 for d = 1 and log(1/delta) ~ 1e12 for d = 2: closer to
+# the band than the float spacing of z, since fibers with d <= 2 have m >= 4
+_VANISHING = 1e-12
 
 
 @lru_cache(maxsize=1)
@@ -231,45 +240,32 @@ def _laplace_nodes():
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _tails(d_free: int, delta):
-    """T(q - 1), T(q), T(q + 1) for q = d_free / 2, elementwise over delta > 0.
+def _tails(d_free, delta):
+    """T(q - 1), T(q), T(q + 1) for q = d_free / 2 per element, as rows, for delta >= 0.
 
     T(q) = int_S^inf s^{-q} e^{-delta s} ds in closed form; a fiber with d
     free axes has an algebraic tail A T(d/2) + B T(d/2 + 1) and a slope
-    tail one order down.
+    tail one order down.  The closed forms give the edge limits too: at
+    delta = 0 they are S^{1-q}/(q-1) for q > 1 and +inf otherwise.
     """
     S = _S_END
-    x = delta * S
-    e = np.exp(-x)
-    if d_free % 2:
-        erfc = _special.erfc(np.sqrt(x))
-        t_half = np.sqrt(math.pi / delta) * erfc
-        t_three_halves = 2.0 * e / math.sqrt(S) - 2.0 * np.sqrt(math.pi * delta) * erfc
-        if d_free == 1:
-            return (math.sqrt(S) * e + 0.5 * t_half) / delta, t_half, t_three_halves
-        return t_half, t_three_halves, (2.0 / 3.0) * (e * S ** -1.5 - delta * t_three_halves)
-    t_zero = e / delta
-    t_one = _special.exp1(x)
-    if d_free == 0:
-        return e * (S + 1.0 / delta) / delta, t_zero, t_one
-    return t_zero, t_one, e / S - delta * t_one
-
-
-def _tail_table(delta, d_free):
-    """T(q - 1), T(q), T(q + 1) for q = d_free / 2 per element, as rows, for delta >= 0.
-
-    At delta = 0, T(q) diverges for q <= 1 and is S^{1-q}/(q-1) otherwise.
-    """
-    at_edge = delta == 0.0
-    safe = np.where(at_edge, 1.0, delta)
     table = np.empty((3, delta.size))
-    for d in set(d_free.tolist()):
-        sel = d_free == d
-        table[:, sel] = _tails(d, safe[sel])
-    if at_edge.any():
-        q = 0.5 * d_free[at_edge] + np.array([-1.0, 0.0, 1.0])[:, None]
-        with np.errstate(divide="ignore"):
-            table[:, at_edge] = np.where(q > 1.0, _S_END ** (1.0 - q) / (q - 1.0), math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in set(d_free.tolist()):
+            sel = d_free == d
+            dl = delta[sel]
+            x = dl * S
+            e = np.exp(-x)
+            if d % 2:  # T(-1/2) .. T(5/2)
+                erfc = _special.erfc(np.sqrt(x))
+                half = np.sqrt(math.pi / dl) * erfc
+                three_halves = 2.0 * e / math.sqrt(S) - 2.0 * np.sqrt(math.pi * dl) * erfc
+                five_halves = (2.0 / 3.0) * (e * S ** -1.5 - dl * three_halves)
+                t = (math.sqrt(S) * e + 0.5 * half) / dl, half, three_halves, five_halves
+            else:  # T(-1) .. T(2), where delta E1(delta S) tends to 0 at the edge
+                one = _special.exp1(x)
+                t = e * (S + 1.0 / dl) / dl, e / dl, one, e / S - np.where(dl == 0.0, 0.0, dl * one)
+            table[:, sel] = t[d // 2 : d // 2 + 3]
     return table
 
 
@@ -291,8 +287,11 @@ class ResolventKernel:
     triples (|m1|, |m2|, |m3|) only, and so do the tail coefficients;
     each z evaluation is then a weighted dot product plus a closed-form
     algebraic tail A T(d/2) + B T(d/2 + 1), where d counts the axes with
-    c_j away from zero.  Edge limits (z at m or M) are exact: the tail
-    term correctly diverges when d <= 2 and stays finite for d = 3.
+    c_j away from zero.  Edge limits (z at m or M) are the same formula
+    at delta = 0, with 0 * inf taken as 0: a row with d = 3 stays finite,
+    and one with d <= 2 diverges unless its leading weight A (v^2 at the
+    edge minimizer, averaged over the frozen axes) vanishes, which the
+    build decides once per row (`_VANISHING`).
 
     k is one momentum or an (..., 3) array of them; m, M and the integrals
     follow its leading shape, floats for one momentum.  The kernel holds
@@ -319,16 +318,15 @@ class ResolventKernel:
         modes = sorted(sq)
         keys = np.array(modes, dtype=int).reshape(-1, 3)
         beta = np.array([sq[m] for m in modes], dtype=complex)
-        # ||v||_2^2 = (2 pi)^3 times the mean of v^2
-        self.v_norm = math.sqrt(max(TWO_PI ** 3 * float(np.real(sq.get((0, 0, 0), 0.0))), 0.0))
+        mean = float(np.real(sq.get((0, 0, 0), 0.0)))  # the mean of v^2
+        self.v_norm = math.sqrt(max(TWO_PI ** 3 * mean, 0.0))
 
         theta = kc[:, 0, None] * keys[:, 0] + kc[:, 1, None] * keys[:, 1] + kc[:, 2, None] * keys[:, 2]
         w_below = np.real(beta * np.exp(-0.5j * theta))
         parity = np.where(np.abs(keys).sum(axis=1) % 2 == 0, 1.0, -1.0)
         weights = (w_below, w_below * parity)
 
-        c = np.cos(kc / 2.0)
-        c = np.where(c < 0.0, 0.0, c)  # guard roundoff at k_j = pi
+        c = np.cos(kc / 2.0)  # at least cos(pi/2) > 0 on reduced coordinates
         active = c > _ACTIVE_TOL
         self.d_free = np.repeat(np.sum(active, axis=1), 2)
 
@@ -357,8 +355,10 @@ class ResolventKernel:
             corr = np.where(on[:, None], corr + (4.0 * oj * oj - 1.0) / (16.0 * cj[:, None]), corr)
             keep &= on[:, None] | (triples[:, j] == 0)
         kept = np.where(keep[:, None, :], triple_weights, 0.0)  # (fiber, side, triple)
+        lead = np.sum(kept, axis=2)
+        lead[(self.d_free[0::2] <= 2)[:, None] & (lead <= _VANISHING * mean)] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            self.A = (vol * inv_sqrt[:, None] * np.sum(kept, axis=2)).reshape(-1)
+            self.A = (vol * inv_sqrt[:, None] * lead).reshape(-1)
             self.B = (-vol * inv_sqrt[:, None] * np.sum(kept * corr[:, None, :], axis=2)).reshape(-1)
 
         # ive tables by harmonic order over the distinct c_j of all fibers
@@ -399,8 +399,7 @@ class ResolventKernel:
         returns -dJ/d(delta) = int_0^inf s e^{-delta s} G(s) ds, whose
         algebraic tail is the closed form one order down.
         """
-        A, B = self.A[rows], self.B[rows]
-        below, lead, sub = _tail_table(delta, self.d_free[rows])
+        tails = _tails(self.d_free[rows], delta)  # T(q - 1), T(q), T(q + 1)
         body, moment = np.empty((2, delta.size))
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, delta.size, _ROWS_PER_CHUNK):
@@ -411,18 +410,14 @@ class ResolventKernel:
                 body[part] = np.sum(terms, axis=1)
                 if slope:
                     moment[part] = np.sum(terms * self._s_nodes, axis=1)
-            finite = np.isfinite(lead)
-            if finite.all():
-                value = body + A * lead + B * sub
-            else:
-                # the edge limit with d <= 2 diverges unless the leading weight
-                # vanishes (v^2 zero at the edge minimizer); then the subleading
-                # term decides when it converges
-                edge = body + np.where(np.isfinite(sub), B * sub, 0.0)
-                value = np.where(finite, body + A * lead + B * sub, np.where(A > 1e-300, math.inf, edge))
+            # A T and B T, with 0 * inf taken as 0: a vanishing weight on a divergent edge tail
+            A, B = self.A[rows], self.B[rows]
+            a_tails = np.where(A == 0.0, 0.0, A * tails)
+            b_tails = np.where(B == 0.0, 0.0, B * tails)
+            value = body + a_tails[1] + b_tails[2]
             if not slope:
                 return value
-            return value, moment + A * below + B * lead
+            return value, moment + a_tails[0] + b_tails[1]
 
     def _integral(self, side: int, z):
         """J at z per fiber on one side of the band; z broadcasts to the leading shape of k."""

@@ -40,6 +40,19 @@ def test_spectrum_json_round_trip(run_cli):
     assert report["diagnostics"]["residuals"]["below"] < 5e-9
 
 
+def test_spectrum_reports_no_eigenvalue_where_v_vanishes_on_the_minimizer_line(run_cli):
+    # v = sin(p2 + k2/2) is zero on the fiber's line of edge minimizers, so
+    # both edge limits are finite and neither root exists (the audit gives
+    # Delta(m - 2e-6) = +1.78 and Delta(M + 2e-6) = -3.78)
+    code, out, err = run_cli(
+        "spectrum", "--gamma=5.0", "--mu=0.1", "--v", "0.7316888688738209*sin(p2) + -0.6816387600233341*cos(p2)",
+        "--k=3.141592653589793,-1.5,0.7",
+    )
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["eigen_below"] is None and results["eigen_above"] is None
+
+
 def test_rerun_from_embedded_config_is_byte_identical(run_cli, tmp_path):
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
@@ -693,6 +706,22 @@ def test_output_flag_before_subcommand_still_writes_file(run_cli, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["results"]["interval_count"] == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_to_an_unwritable_path_exits_two(run_cli, tmp_path, fmt):
+    report = tmp_path / "report.json"
+    unwritable = str(tmp_path / "absent" / "report.out")
+    argv = ("spectrum", "--gamma", "-2", "--mu", "0.6", "--v", "1", "--k", "0.5,0.1,-0.8", "--format", fmt)
+    code, out, err = run_cli(*argv, "--output", unwritable)
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+    # a --config rerun delivers to --output the same way
+    code, _, _ = run_cli(*argv[:-2], "--output", str(report))
+    assert code == 0
+    code, out, err = run_cli("--config", str(report), "--output", unwritable)
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot write the report: ") and err.count("\n") == 1
 
 
 def test_report_v_terms_are_the_parse_of_v(run_cli, tmp_path):

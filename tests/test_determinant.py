@@ -13,7 +13,7 @@ from friedrichs3d.determinant import (
     fredholm_delta,
 )
 from friedrichs3d.lattice import ORIGIN, PI_POINT, band_endpoints, lambda_point, reduce_coords, w1_on_grid
-from friedrichs3d.quadrature import IntegralResult
+from friedrichs3d.quadrature import IntegralResult, ResolventKernel
 from friedrichs3d.thresholds import fredholm_delta_threshold
 from friedrichs3d.vfunction import VFunction, parse_v
 
@@ -125,6 +125,22 @@ def test_discrete_spectrum_existence_logic(v_cos_half):
     window = find_discrete_spectrum(ModelParams(gamma=12.5, mu=0.05), v_cos_half, k)
     assert window.eigen_below is None
     assert window.eigen_above is not None and window.eigen_above > window.M
+
+
+def test_a_leading_weight_that_vanishes_on_the_minimizer_line_keeps_the_edge_limits_finite():
+    # v = sin(p2 + k2/2) vanishes on the whole line of edge minimizers of the
+    # fiber k = (pi, k2, 0.7), where its weight leaves only rounding; an edge
+    # limit taken as divergent there reports a clamped root that does not exist
+    for k2 in np.linspace(-3.0, 3.0, 13):
+        v = parse_v("%r*sin(p2) + %r*cos(p2)" % (float(np.cos(k2 / 2.0)), float(np.sin(k2 / 2.0))))
+        k = (np.pi, k2, 0.7)
+        kernel = ResolventKernel(v, k)
+        assert np.isfinite(kernel.integral_below(kernel.m)) and np.isfinite(kernel.integral_above(kernel.M))
+        for params in (ModelParams(gamma=5.0, mu=0.1), ModelParams(gamma=2.0, mu=0.2)):
+            window = find_discrete_spectrum(params, v, k)
+            below = fredholm_delta(params, v, k, window.m - 2.0 * EDGE_MARGIN) < 0.0
+            above = fredholm_delta(params, v, k, window.M + 2.0 * EDGE_MARGIN) > 0.0
+            assert (window.eigen_below is not None, window.eigen_above is not None) == (below, above), k2
 
 
 def test_discrete_spectrum_roots_zero_the_grid_determinant(v_cos_half, rng):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -343,6 +345,52 @@ def test_kernel_edge_limit_and_threshold_quadrature_agree(v_cos_half, v_product)
     # the lower edge integral carries the quadratic normal-form factor 1/2
     assert kernel.integral_below(0.0) == pytest.approx(0.5 * quad, rel=1e-8)
     assert threshold_integral(v_product, "origin") == pytest.approx(quad, rel=1e-8)
+
+
+def test_tails_at_the_edge_are_the_closed_form_limits():
+    # T(q) = int_S^inf s^{-q} ds: S^{1-q}/(q-1) for q > 1, divergent otherwise
+    S = quadrature._S_END
+    for d in range(4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = quadrature._tails(np.array([d]), np.zeros(1))[:, 0]
+        for q, value in zip(0.5 * d + np.array([-1.0, 0.0, 1.0]), table):
+            assert value == (S ** (1.0 - q) / (q - 1.0) if q > 1.0 else np.inf), (d, q)
+
+
+_AGREEMENT_V = (
+    "0.8681 + -0.3394*cos(p1) + 0.2634*sin(2*p2) + 0.3069*cos(p2)*cos(p3)",
+    "1",
+    "cos(p1) + 0.5",
+    "1 - cos(p1)",
+    "(1 - cos(p1)) * (cos(p1) + 0.5) + 0.3*sin(p2)*cos(2*p3)",
+)
+
+
+def test_kernel_agrees_with_the_audit_on_random_fibers():
+    """The kernel against the 2D audit on 200 seeded draws: uniform k with
+    every c_j = cos(k_j/2) >= 1e-2, delta = 10^U(-5, 2) on a random side.
+
+    The two regimes left out are the far field (delta beyond the band width)
+    and nearly frozen axes (0 < c_j << 1), where the kernel is known to be
+    wrong (ROADMAP item 1).
+    """
+    rng = np.random.default_rng(20261020)
+    vs = [parse_v(text) for text in _AGREEMENT_V]
+    for draw in range(200):
+        v = vs[draw % len(vs)]
+        k = rng.uniform(-np.pi, np.pi, 3)
+        while np.cos(k / 2.0).min() < 1e-2:
+            k = rng.uniform(-np.pi, np.pi, 3)
+        delta = 10.0 ** rng.uniform(-5.0, 2.0)
+        kernel = ResolventKernel(v, k)
+        if rng.uniform() < 0.5:
+            got = kernel.integral_below(kernel.m - delta)
+            audit = resolvent_integral_2d(v, k, kernel.m - delta).value
+        else:
+            got = kernel.integral_above(kernel.M + delta)
+            audit = -resolvent_integral_2d(v, k, kernel.M + delta).value
+        assert got == pytest.approx(audit, rel=1e-8), (draw, k.tolist(), delta)
 
 
 def test_kernel_rejects_band_interior(v_one):
