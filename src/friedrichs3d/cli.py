@@ -3,9 +3,9 @@
 Every run emits a single report (JSON by default, CSV for tabular
 output) that embeds the fully resolved configuration; rerunning with
 `--config <report.json>` reproduces the report byte for byte.  Exit
-codes: 0 success, 2 invalid input, out-of-domain request or an
-unwritable --output, 3 numerical quality failure (non-convergence,
-oracle disagreement).
+codes: 0 success, 2 invalid input, out-of-domain request, a request too
+large to allocate or an unwritable --output, 3 numerical quality failure
+(non-convergence, oracle disagreement, an audit that refutes a root).
 """
 
 from __future__ import annotations
@@ -22,14 +22,15 @@ import numpy as np
 
 from . import __version__
 from .bands import BRANCH_COLUMNS, assemble_bands, branch_extrema
-from .determinant import InsideEssentialSpectrum, ModelParams, find_discrete_spectrum, fredholm_delta
+from .determinant import EDGE_MARGIN, InsideEssentialSpectrum, ModelParams, find_discrete_spectrum, fredholm_delta
 from .oracle import discretize, extreme_eigenvalues
 from .thresholds import classify_threshold, critical_couplings, gamma_star, mu_left, mu_right, threshold_integral
 from .vfunction import VFunction, parse_v
 
 # every refusal of an input (VParseError, DomainError, ZeroCoupling,
-# InsideEssentialSpectrum) is a ValueError
-_VALIDATION_ERRORS = ValueError
+# InsideEssentialSpectrum) is a ValueError; a request too large to
+# allocate is refused as well
+_VALIDATION_ERRORS = (ValueError, MemoryError)
 # quadrature.NonConvergence is a RuntimeError
 _NUMERICAL_ERRORS = RuntimeError
 
@@ -200,19 +201,25 @@ def _cmd_spectrum(cfg: RunConfig, v: VFunction):
 
     residuals = {}
     refinements = {}
-    for side, root in (("below", window.eigen_below), ("above", window.eigen_above)):
+    sides = (("below", window.eigen_below, window.m, -1.0), ("above", window.eigen_above, window.M, 1.0))
+    for side, root, edge, outward in sides:
+        residuals[side] = refinements[side] = None
         if root is None:
-            residuals[side] = None
-            refinements[side] = None
             continue
         try:
-            value, integral = fredholm_delta(params, v, window.k, root, with_diagnostics=True)
-            residuals[side] = abs(value)
-            refinements[side] = integral.refinements_used if integral is not None else 0
+            value, integral = fredholm_delta(params, v, window.k, root)
         except InsideEssentialSpectrum:
-            # root clamped at the edge margin; the grid route cannot audit it
-            residuals[side] = None
-            refinements[side] = None
+            # a root clamped at the edge margin, where the grid route cannot
+            # reach: Delta one margin further out must put the root inside it
+            z = edge + 2.0 * outward * EDGE_MARGIN
+            value, _ = fredholm_delta(params, v, window.k, z)
+            if not outward * value < 0.0:
+                raise RuntimeError(
+                    "the audit refutes the root clamped %s the band: Delta(%.17g) = %.6g" % (side, z, value)
+                )
+            continue
+        residuals[side] = abs(value)
+        refinements[side] = integral.refinements_used
 
     results = {
         "k": list(window.k),

@@ -95,21 +95,14 @@ class SpectralWindow:
         _check_windows(self.m, self.M, *none_is_nan)
 
 
-def fredholm_delta(
-    params: ModelParams,
-    v: VFunction,
-    k,
-    z: float,
-    with_diagnostics: bool = False,
-):
-    """Determinant at spectral parameter z outside the fiber band.
+def fredholm_delta(params: ModelParams, v: VFunction, k, z: float):
+    """Determinant at spectral parameter z outside the fiber band, and its audit.
 
     Evaluates the integral with `resolvent_integral_2d` (t3 in closed form,
     a graded midpoint grid in (t1, t2)), a route independent of the
     solver's kernel, so it audits roots.  z must keep at least EDGE_MARGIN
     distance from [m(k), M(k)]; inside that guard band
-    InsideEssentialSpectrum is raised.  With `with_diagnostics`, returns
-    (value, IntegralResult), the result None for v = 0.
+    InsideEssentialSpectrum is raised.  Returns (value, IntegralResult).
     """
     k = reduce_coords(k).reshape(3)
     z = float(z)
@@ -118,16 +111,8 @@ def fredholm_delta(
         raise InsideEssentialSpectrum(
             "z = %.17g is within %g of the band [%.17g, %.17g]" % (z, EDGE_MARGIN, lo, hi)
         )
-    base = w0(k, params.gamma) - z
-    if v.is_zero:
-        result = None
-        value = base
-    else:
-        result = resolvent_integral_2d(v, k, z)
-        value = base - params.mu ** 2 * result.value
-    if with_diagnostics:
-        return value, result
-    return value
+    result = resolvent_integral_2d(v, k, z)
+    return w0(k, params.gamma) - z - params.mu ** 2 * result.value, result
 
 
 def _solve_rows(params: ModelParams, kernel: ResolventKernel):

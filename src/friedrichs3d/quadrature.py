@@ -167,17 +167,20 @@ def resolvent_integral_2d(v: VFunction, k, z: float) -> IntegralResult:
     remainder in (t1, t2) is summed on a midpoint grid graded toward the
     band-edge minimizer, 16^2 points doubled per axis until successive
     values agree to 1e-8 (relative) or an absolute floor of 1e-12; raises
-    NonConvergence when 6 doublings are exhausted.  With the grading they
-    suffice down to the solver's edge margin 1e-6 from the band, except
-    right at it for v with harmonics of order 3 or 4.  Each refinement
-    costs 4x the previous one.  Independent of the
-    Laplace-Bessel kernel, so it audits the solver's roots.
+    NonConvergence when 6 doublings are exhausted.  v = 0 gives an exact
+    0 on no grid, with 0 refinements.  With the grading they suffice down
+    to the solver's edge margin 1e-6 from the band, except right at it
+    for v with harmonics of order 3 or 4.  Each refinement costs 4x the
+    previous one.  Independent of the Laplace-Bessel kernel, so it audits
+    the solver's roots.
     """
     k = reduce_coords(k).reshape(3)
     z = float(z)
     lo, hi = band_endpoints(k)
     if lo <= z <= hi:
         raise ValueError("z = %.17g lies in the band [%.17g, %.17g]" % (z, lo, hi))
+    if v.is_zero:
+        return IntegralResult(value=0.0, est_error=0.0, refinements_used=0)
     side = int(z > hi)
     f = _AuditIntegrand(v, k, side, z - hi if side else lo - z)
     n = _BASE_GRID
@@ -293,8 +296,7 @@ class ResolventKernel:
     edge minimizer, averaged over the frozen axes) vanishes, which the
     build decides once per row (`_VANISHING`).
 
-    k is one momentum or an (..., 3) array of them; m, M and the integrals
-    follow its leading shape, floats for one momentum.  The kernel holds
+    k is one momentum or an (..., 3) array of them.  The kernel holds
     both band edges of every fiber as rows numbered 2 fiber + side (side 0
     below the band, 1 above; fibers in the row-major order of k's leading
     shape).  Per row, `edge` is the band edge, `eps` is eps(k) of the
@@ -306,12 +308,9 @@ class ResolventKernel:
     """
 
     def __init__(self, v: VFunction, k):
-        kc = reduce_coords(k)
-        self._shape = kc.shape[:-1]
-        kc = kc.reshape(-1, 3)
+        kc = reduce_coords(k).reshape(-1, 3)
         n = kc.shape[0]
         self.edge = np.stack(band_endpoints(kc), axis=1).reshape(-1)
-        self.m, self.M = self._shaped(self.edge[0::2]), self._shaped(self.edge[1::2])
         self.eps = np.repeat(epsilon(kc), 2)
 
         sq = v.squared_exp_coeffs()
@@ -388,10 +387,6 @@ class ResolventKernel:
             G *= vol * s_weights
         self.G = G.reshape(-1, nodes)
 
-    def _shaped(self, values: np.ndarray):
-        """Per-fiber values in the leading shape of k, a float for one momentum."""
-        return values.reshape(self._shape) if self._shape else float(values[0])
-
     def integrals(self, rows, delta, slope: bool = False):
         """J = int v^2/|w1 - z| on kernel `rows` at distances delta >= 0 from their edges.
 
@@ -419,21 +414,20 @@ class ResolventKernel:
                 return value
             return value, moment + a_tails[0] + b_tails[1]
 
-    def _integral(self, side: int, z):
-        """J at z per fiber on one side of the band; z broadcasts to the leading shape of k."""
-        z = np.broadcast_to(np.asarray(z, dtype=float), self._shape).reshape(-1)
-        edge = self.edge[side::2]
-        delta = z - edge if side else edge - z
-        if np.any(delta < -1e-9):
-            i = np.argmax(delta < -1e-9)
-            where = ("above the lower", "below the upper")[side]
-            raise ValueError("z = %.17g lies %s band edge %.17g" % (z[i], where, edge[i]))
-        return self._shaped(self.integrals(2 * np.arange(edge.size) + side, np.maximum(delta, 0.0)))
-
     def integral_below(self, z):
-        """J(z) = int v^2/(w1 - z) dt for z <= m(k); z = m gives the edge limit."""
-        return self._integral(0, z)
+        """J(z) = int v^2/(w1 - z) dt per fiber, for z <= m(k); z = m gives the edge limit.
+
+        A flat view of `integrals` on the rows below the band, z one value
+        or one per fiber.  Kept only because perfbench/spans.py wraps it by
+        name.
+        """
+        return self.integrals(np.arange(0, self.edge.size, 2), self.edge[0::2] - z)
 
     def integral_above(self, z):
-        """J(z) = int v^2/(z - w1) dt for z >= M(k); z = M gives the edge limit."""
-        return self._integral(1, z)
+        """J(z) = int v^2/(z - w1) dt per fiber, for z >= M(k); z = M gives the edge limit.
+
+        A flat view of `integrals` on the rows above the band, z one value
+        or one per fiber.  Kept only because perfbench/spans.py wraps it by
+        name.
+        """
+        return self.integrals(np.arange(1, self.edge.size, 2), z - self.edge[1::2])

@@ -119,13 +119,13 @@ class VFunction:
         return cls(())
 
     @classmethod
-    def axis_mode(cls, axis: int, n: int, coeff: float = 1.0) -> "VFunction":
-        """coeff * cos(n p_axis) for n > 0, coeff * sin(|n| p_axis) for n < 0."""
+    def axis_mode(cls, axis: int, n: int) -> "VFunction":
+        """cos(n p_axis) for n > 0, sin(|n| p_axis) for n < 0."""
         if axis not in (0, 1, 2):
             raise ValueError("axis must be 0, 1 or 2")
         m = [0, 0, 0]
         m[axis] = int(n)
-        return cls([(tuple(m), coeff)])
+        return cls([(tuple(m), 1.0)])
 
     # ---- basic queries -------------------------------------------------
 

@@ -53,6 +53,57 @@ def test_spectrum_reports_no_eigenvalue_where_v_vanishes_on_the_minimizer_line(r
     assert results["eigen_below"] is None and results["eigen_above"] is None
 
 
+def test_a_clamped_root_that_the_audit_refutes_exits_three(run_cli):
+    # a nearly frozen axis makes the kernel clamp a root at m - 1e-6 that does
+    # not exist (the true root is 0.005476); the audit gives Delta(m - 2e-6) =
+    # -27276, which puts no root inside the margin
+    code, out, err = run_cli(
+        "spectrum", "--gamma=-1.5", "--mu", "0.5", "--v", "0.5 + sin(p1) + 0.7*cos(p2)*sin(p3)",
+        "--k=2.98991137800306,3.1415926555897915,3.141593007162261",
+    )
+    assert code == 3
+    assert out == "" and "numerical failure: the audit refutes the root clamped below the band" in err
+
+
+def test_clamped_roots_at_pinched_corners_pass_the_sign_test(run_cli):
+    # constant v = c at k = (pi, pi, pi) with one root 1e-8 to 8e-7 from the
+    # band, closer than the margin: the clamped root is kept, unaudited, and
+    # the other side's root keeps its residual
+    rng = np.random.default_rng(20261020)
+    volume = (2.0 * math.pi) ** 3
+    for _ in range(200):
+        c = rng.uniform(0.5, 1.5)
+        g = rng.uniform(2.0, 20.0) * (1.0 if rng.integers(2) else -1.0)
+        d = math.exp(rng.uniform(math.log(1e-8), math.log(8e-7)))
+        mu = math.sqrt(d * (d + abs(g)) / volume) / c
+        code, out, err = run_cli(
+            "spectrum", "--gamma=%r" % (6.0 + g), "--mu=%r" % mu, "--v=%r" % c,
+            "--k=3.141592653589793,3.141592653589793,3.141592653589793",
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        results, diagnostics = report["results"], report["diagnostics"]
+        pinched, other = ("below", "above") if g > 0 else ("above", "below")
+        edge = results["m"] - 1e-6 if g > 0 else results["M"] + 1e-6
+        assert results["eigen_" + pinched] == edge
+        assert diagnostics["residuals"][pinched] is None
+        assert diagnostics["quadrature_refinements"][pinched] is None
+        assert diagnostics["residuals"][other] < 1e-8
+
+
+def test_spectrum_of_zero_coupling_is_audited_on_no_grid(run_cli):
+    # v = 0 leaves Delta = w0 - z: its one root is w0, and the audit adds an exact 0
+    code, out, err = run_cli("spectrum", "--gamma=-2", "--mu=0.6", "--v=0", "--k=0.5,0.1,-0.8")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["results"]["eigen_below"] == -1.5692934365155642
+    assert report["results"]["eigen_above"] is None
+    assert report["diagnostics"] == {
+        "residuals": {"below": 0.0, "above": None},
+        "quadrature_refinements": {"below": 0, "above": None},
+    }
+
+
 def test_rerun_from_embedded_config_is_byte_identical(run_cli, tmp_path):
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
@@ -495,6 +546,11 @@ def test_verify_rejects_a_bad_tolerance(run_cli, tmp_path, tol):
         # mu^2 underflows: at a frozen axis it met the infinite edge limit as 0 * inf
         ("spectrum", "--v", "1", "--gamma=-1e-9", "--mu=1e-300", "--k=3.141592653589793,0.3,0.2"),
         ("bands", "--gamma", "2", "--mu", "1e-170", "--v", "1", "--resolution", "2"),
+        # too large to allocate: the first array that fails is 6.9 EiB, 727 TiB
+        # and 727 TiB, beyond any address space, after arrays of at most 80 MB
+        ("bands", "--gamma", "2", "--mu", "0.5", "--resolution=1000000"),
+        ("verify", "--gamma", "2", "--mu", "0.5", "--k", "0.5,0.1,-0.8", "--grids=10000000"),
+        ("scan-gamma", "--gamma-min", "1", "--gamma-max", "8", "--samples=100000000000000"),
     ],
 )
 def test_validation_failures_exit_two(run_cli, argv):

@@ -12,7 +12,7 @@ from friedrichs3d.determinant import (
     find_discrete_spectrum,
     fredholm_delta,
 )
-from friedrichs3d.lattice import ORIGIN, PI_POINT, band_endpoints, lambda_point, reduce_coords, w1_on_grid
+from friedrichs3d.lattice import ORIGIN, PI_POINT, band_endpoints, lambda_point, reduce_coords, w0, w1_on_grid
 from friedrichs3d.quadrature import IntegralResult, ResolventKernel
 from friedrichs3d.thresholds import fredholm_delta_threshold
 from friedrichs3d.vfunction import VFunction, parse_v
@@ -46,7 +46,7 @@ def test_determinant_closed_form_at_corner_momentum(v_one):
     params = ModelParams(gamma=6.0, mu=0.7)
     for z in (-3.0, 2.5, 20.0, 30.0):
         expected = 12.0 - z - params.mu ** 2 * TWO_PI ** 3 / (12.0 - z)
-        got = fredholm_delta(params, v_one, PI_POINT, z)
+        got, _ = fredholm_delta(params, v_one, PI_POINT, z)
         assert got == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
@@ -61,8 +61,8 @@ def test_determinant_refuses_band_interior(v_one):
 
 def test_determinant_diagnostics_expose_quadrature(v_cos_half):
     params = ModelParams(gamma=2.0, mu=0.5)
-    value, info = fredholm_delta(params, v_cos_half, ORIGIN, -4.0, with_diagnostics=True)
-    assert isinstance(info, IntegralResult)
+    value, info = fredholm_delta(params, v_cos_half, ORIGIN, -4.0)
+    assert isinstance(info, IntegralResult) and info.refinements_used > 0
     assert value == pytest.approx(
         params.gamma - (-4.0) - params.mu ** 2 * info.value, abs=1e-12
     )
@@ -71,7 +71,7 @@ def test_determinant_diagnostics_expose_quadrature(v_cos_half):
 def test_determinant_is_decreasing_below_the_band(v_cos_half):
     params = ModelParams(gamma=-1.0, mu=0.8)
     zs = [-8.0, -5.0, -2.0, -0.5]
-    vals = [fredholm_delta(params, v_cos_half, ORIGIN, z) for z in zs]
+    vals = [fredholm_delta(params, v_cos_half, ORIGIN, z)[0] for z in zs]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     # slope at most -1: differences beat the z spacing
     for (z1, d1), (z2, d2) in zip(zip(zs, vals), zip(zs[1:], vals[1:])):
@@ -134,12 +134,12 @@ def test_a_leading_weight_that_vanishes_on_the_minimizer_line_keeps_the_edge_lim
     for k2 in np.linspace(-3.0, 3.0, 13):
         v = parse_v("%r*sin(p2) + %r*cos(p2)" % (float(np.cos(k2 / 2.0)), float(np.sin(k2 / 2.0))))
         k = (np.pi, k2, 0.7)
-        kernel = ResolventKernel(v, k)
-        assert np.isfinite(kernel.integral_below(kernel.m)) and np.isfinite(kernel.integral_above(kernel.M))
+        edge_limits = ResolventKernel(v, k).integrals(np.arange(2), np.zeros(2))
+        assert np.isfinite(edge_limits).all()
         for params in (ModelParams(gamma=5.0, mu=0.1), ModelParams(gamma=2.0, mu=0.2)):
             window = find_discrete_spectrum(params, v, k)
-            below = fredholm_delta(params, v, k, window.m - 2.0 * EDGE_MARGIN) < 0.0
-            above = fredholm_delta(params, v, k, window.M + 2.0 * EDGE_MARGIN) > 0.0
+            below = fredholm_delta(params, v, k, window.m - 2.0 * EDGE_MARGIN)[0] < 0.0
+            above = fredholm_delta(params, v, k, window.M + 2.0 * EDGE_MARGIN)[0] > 0.0
             assert (window.eigen_below is not None, window.eigen_above is not None) == (below, above), k2
 
 
@@ -151,7 +151,7 @@ def test_discrete_spectrum_roots_zero_the_grid_determinant(v_cos_half, rng):
         params = ModelParams(gamma=float(rng.uniform(-3.0, -0.5)), mu=float(rng.uniform(0.4, 0.9)))
         window = find_discrete_spectrum(params, v_cos_half, k)
         assert window.eigen_below is not None
-        resid = fredholm_delta(params, v_cos_half, k, window.eigen_below)
+        resid, _ = fredholm_delta(params, v_cos_half, k, window.eigen_below)
         # |d Delta / dz| >= 1 outside the band, so the residual bounds the root error
         assert abs(resid) < 5e-9
 
@@ -172,6 +172,9 @@ def test_zero_coupling_function_leaves_pure_shift(v_one):
     assert window.eigen_below == pytest.approx(
         params.gamma + 3.0 - np.cos(0.4) * 2.0 - np.cos(-0.9), abs=1e-9
     )
+    # the audit of v = 0 is an exact zero on no grid
+    level = w0(reduce_coords((0.4, 0.4, -0.9)), params.gamma)
+    assert fredholm_delta(params, zero, (0.4, 0.4, -0.9), -3.0) == (level + 3.0, IntegralResult(0.0, 0.0, 0))
 
 
 def test_huge_gamma_roots_at_corner_match_closed_form(v_one):
@@ -206,7 +209,7 @@ def test_audit_integral_matches_the_3d_grid_oracle(terms, k, above, delta):
     k = reduce_coords(k)
     lo, hi = band_endpoints(k)
     z = hi + delta if above else lo - delta
-    _, result = fredholm_delta(ModelParams(gamma=0.0, mu=1.0), v, k, z, with_diagnostics=True)
+    _, result = fredholm_delta(ModelParams(gamma=0.0, mu=1.0), v, k, z)
 
     def integrand(px, py, pz):
         vv = v.evaluate(px, py, pz)
@@ -242,7 +245,7 @@ def test_batched_roots_are_the_single_roots_and_unique(terms, ks, gamma, mu):
             if root is not None and abs(z - root) < 1e-6:
                 continue
             left = z < root if root is not None else outward < 0.0
-            assert (fredholm_delta(params, v, k, z) > 0.0) == left
+            assert (fredholm_delta(params, v, k, z)[0] > 0.0) == left
         if root is not None and abs(root - edge) > _AUDIT_GAP:
-            assert fredholm_delta(params, v, k, root - 1e-5) > 0.0
-            assert fredholm_delta(params, v, k, root + 1e-5) < 0.0
+            assert fredholm_delta(params, v, k, root - 1e-5)[0] > 0.0
+            assert fredholm_delta(params, v, k, root + 1e-5)[0] < 0.0

@@ -7,7 +7,7 @@ from friedrichs3d import bands, determinant, quadrature, thresholds
 from friedrichs3d.bands import assemble_bands
 from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
 from friedrichs3d.lattice import ORIGIN, PI_POINT, lambda_point, reduce_coords
-from friedrichs3d.quadrature import NonConvergence, ResolventKernel, resolvent_integral_2d
+from friedrichs3d.quadrature import IntegralResult, NonConvergence, ResolventKernel, resolvent_integral_2d
 from friedrichs3d.thresholds import critical_couplings, threshold_integral
 from friedrichs3d.vfunction import VFunction, parse_v
 
@@ -96,22 +96,26 @@ def test_audit_route_matches_the_kernel_next_to_the_band():
     v = parse_v("0.8681 - 0.3394*cos(p1) + 0.2634*sin(2*p2) + 0.3069*cos(p2)*cos(p3)")
     k = (0.7789, -2.4694, -0.1161)
     kernel = ResolventKernel(v, k)
+    m, M = kernel.edge
     for delta in (1e-3, 1e-4, 1e-6):
-        below = resolvent_integral_2d(v, k, kernel.m - delta)
-        above = resolvent_integral_2d(v, k, kernel.M + delta)
-        assert below.value == pytest.approx(kernel.integral_below(kernel.m - delta), rel=1e-12)
-        assert above.value == pytest.approx(-kernel.integral_above(kernel.M + delta), rel=1e-12)
+        below = resolvent_integral_2d(v, k, m - delta)
+        above = resolvent_integral_2d(v, k, M + delta)
+        assert below.value == pytest.approx(kernel.integral_below(m - delta)[0], rel=1e-12)
+        assert above.value == pytest.approx(-kernel.integral_above(M + delta)[0], rel=1e-12)
 
 
 def test_audit_route_refuses_the_band_and_reports_its_grid(v_cos_half, monkeypatch):
     k = (0.9, 0.4, -1.2)
-    kernel = ResolventKernel(v_cos_half, k)
-    for z in (kernel.m, 0.5 * (kernel.m + kernel.M), kernel.M):
-        with pytest.raises(ValueError):
-            resolvent_integral_2d(v_cos_half, k, z)
+    m, M = ResolventKernel(v_cos_half, k).edge
+    for z in (m, 0.5 * (m + M), M):
+        for v in (v_cos_half, VFunction.zero()):
+            with pytest.raises(ValueError):
+                resolvent_integral_2d(v, k, z)
+    # v = 0 is an exact 0 on no grid
+    assert resolvent_integral_2d(VFunction.zero(), k, M + 1e-7) == IntegralResult(0.0, 0.0, 0)
     monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 0)
     with pytest.raises(NonConvergence, match=r"after 0 refinements \(grid 16\^2"):
-        resolvent_integral_2d(v_cos_half, k, kernel.m - 1e-2)
+        resolvent_integral_2d(v_cos_half, k, m - 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +198,9 @@ def test_kernel_matches_riemann_sum_away_from_band(vtext, kcoords):
     v = parse_v(vtext)
     k = reduce_coords(kcoords)
     kernel = ResolventKernel(v, k)
+    m, M = kernel.edge
 
-    for z, side in ((kernel.m - 1.7, "below"), (kernel.M + 2.4, "above")):
+    for z, side in ((m - 1.7, "below"), (M + 2.4, "above")):
         def f(px, py, pz, _z=z):
             from friedrichs3d.lattice import w1_on_grid
 
@@ -203,7 +208,7 @@ def test_kernel_matches_riemann_sum_away_from_band(vtext, kcoords):
             return vv * vv / (w1_on_grid(k, px, py, pz) - _z)
 
         ref = left_riemann_integral(f, n=96)
-        got = kernel.integral_below(z) if side == "below" else -kernel.integral_above(z)
+        got = kernel.integral_below(z)[0] if side == "below" else -kernel.integral_above(z)[0]
         assert got == pytest.approx(ref, rel=2e-11)
 
 
@@ -216,12 +221,12 @@ def test_batched_kernel_build_is_bit_identical_to_a_batch_of_one(rng):
     rows = np.arange(2 * n)  # row 2 fiber + side
     delta = np.linspace(0.0, 40.0, rows.size)
     values = batch.integrals(rows, delta)
-    below = batch.integral_below(batch.m - delta[0::2])
-    above = batch.integral_above(batch.M + delta[1::2])
+    m, M = batch.edge[0::2], batch.edge[1::2]
+    below = batch.integral_below(m - delta[0::2])
+    above = batch.integral_above(M + delta[1::2])
     assert below.shape == above.shape == (n,)
     for i, p in enumerate(points):
         one = ResolventKernel(v, p)
-        assert (batch.m[i], batch.M[i]) == (one.m, one.M)
         assert one.v_norm == batch.v_norm
         for side in (0, 1):
             r = 2 * i + side
@@ -230,25 +235,24 @@ def test_batched_kernel_build_is_bit_identical_to_a_batch_of_one(rng):
             assert np.array_equal(batch.G[r], one.G[side])
             alone = one.integrals(np.array([side]), delta[r : r + 1])
             assert alone[0] == values[r]
-        assert below[i] == one.integral_below(batch.m[i] - delta[2 * i])
-        assert above[i] == one.integral_above(batch.M[i] + delta[2 * i + 1])
+        assert below[i] == one.integral_below(m[i] - delta[2 * i])[0]
+        assert above[i] == one.integral_above(M[i] + delta[2 * i + 1])[0]
 
 
-def test_kernel_follows_the_leading_shape_of_its_momenta(v_cos_half):
+def test_kernel_answers_flat_rows_in_the_row_major_order_of_its_momenta(v_cos_half):
     grid = reduce_coords(np.linspace(-3.0, 3.0, 12).reshape(2, 2, 3))
     kernel = ResolventKernel(v_cos_half, grid)
-    assert kernel.m.shape == kernel.M.shape == (2, 2)
-    assert kernel.integral_below(kernel.m).shape == (2, 2)
-    # z broadcasts to the leading shape
-    assert np.array_equal(kernel.integral_above(14.0), kernel.integral_above(np.full((2, 2), 14.0)))
+    assert kernel.edge.shape == kernel.G.shape[:1] == (8,)
+    m = kernel.edge[0::2]
+    assert kernel.integral_below(m).shape == (4,)
+    # one z serves every fiber
+    assert np.array_equal(kernel.integral_above(14.0), kernel.integral_above(np.full(4, 14.0)))
     one = ResolventKernel(v_cos_half, grid[1, 0])
-    assert type(one.m) is float and type(one.integral_below(one.m - 1.0)) is float
-    assert kernel.integral_below(kernel.m - 1.0)[1, 0] == one.integral_below(one.m - 1.0)
-    with pytest.raises(ValueError):
-        kernel.integral_below(np.full(3, -1.0))
+    assert one.edge.shape == (2,) and one.integral_below(one.edge[0] - 1.0).shape == (1,)
+    assert kernel.integral_below(m - 1.0)[2] == one.integral_below(one.edge[0] - 1.0)[0]
     # an empty batch builds and evaluates nothing
     empty = ResolventKernel(v_cos_half, np.empty((0, 3)))
-    assert empty.m.shape == empty.integral_above(empty.M).shape == (0,)
+    assert empty.edge.shape == empty.integral_above(14.0).shape == (0,)
     assert empty.G.shape == (0, quadrature._laplace_nodes()[0].size)
     assert empty.integrals(np.arange(0), np.zeros(0)).shape == (0,)
 
@@ -312,24 +316,23 @@ def test_kernel_slope_is_the_derivative_of_the_integral(v_cos_half, kcoords):
 def test_kernel_closed_form_at_corner_momentum(v_one):
     # the fiber dispersion is constant 12 there, so J(z) = volume/(12 - z)
     kernel = ResolventKernel(v_one, PI_POINT)
-    assert kernel.m == pytest.approx(12.0, abs=1e-12)
-    assert kernel.M == pytest.approx(12.0, abs=1e-12)
+    assert kernel.edge == pytest.approx([12.0, 12.0], abs=1e-12)
     for dz in (0.5, 2.0, 7.7):
-        assert kernel.integral_below(12.0 - dz) == pytest.approx(CELL_VOLUME / dz, rel=1e-12)
-        assert kernel.integral_above(12.0 + dz) == pytest.approx(CELL_VOLUME / dz, rel=1e-12)
+        assert kernel.integral_below(12.0 - dz)[0] == pytest.approx(CELL_VOLUME / dz, rel=1e-12)
+        assert kernel.integral_above(12.0 + dz)[0] == pytest.approx(CELL_VOLUME / dz, rel=1e-12)
 
 
 def test_kernel_edge_limits_match_watson(v_one):
     kernel = ResolventKernel(v_one, ORIGIN)
     # lower edge: int 1/(2 eps); upper edge maps to the same value by p -> pi - p
-    assert kernel.integral_below(0.0) == pytest.approx(WATSON_HALF, rel=1e-9)
-    assert kernel.integral_above(12.0) == pytest.approx(WATSON_HALF, rel=1e-9)
+    assert kernel.integral_below(0.0)[0] == pytest.approx(WATSON_HALF, rel=1e-9)
+    assert kernel.integral_above(12.0)[0] == pytest.approx(WATSON_HALF, rel=1e-9)
 
 
 def test_kernel_edge_limit_diverges_at_corner(v_one):
     kernel = ResolventKernel(v_one, PI_POINT)
-    assert kernel.integral_below(12.0) == np.inf
-    assert kernel.integral_above(12.0) == np.inf
+    assert kernel.integral_below(12.0)[0] == np.inf
+    assert kernel.integral_above(12.0)[0] == np.inf
 
 
 def test_kernel_edge_limit_and_threshold_quadrature_agree(v_cos_half, v_product):
@@ -338,12 +341,12 @@ def test_kernel_edge_limit_and_threshold_quadrature_agree(v_cos_half, v_product)
     for v in (v_cos_half, v_product):
         kernel = ResolventKernel(v, lam)
         quad, _ = integrate_threshold(v, lam, lam, "max")
-        assert kernel.integral_above(13.5) == pytest.approx(quad, rel=1e-8)
+        assert kernel.integral_above(13.5)[0] == pytest.approx(quad, rel=1e-8)
         assert threshold_integral(v, "lambda:4") == pytest.approx(quad, rel=1e-8)
     kernel = ResolventKernel(v_product, ORIGIN)
     quad, _ = integrate_threshold(v_product, ORIGIN, ORIGIN, "min")
     # the lower edge integral carries the quadratic normal-form factor 1/2
-    assert kernel.integral_below(0.0) == pytest.approx(0.5 * quad, rel=1e-8)
+    assert kernel.integral_below(0.0)[0] == pytest.approx(0.5 * quad, rel=1e-8)
     assert threshold_integral(v_product, "origin") == pytest.approx(quad, rel=1e-8)
 
 
@@ -384,28 +387,22 @@ def test_kernel_agrees_with_the_audit_on_random_fibers():
             k = rng.uniform(-np.pi, np.pi, 3)
         delta = 10.0 ** rng.uniform(-5.0, 2.0)
         kernel = ResolventKernel(v, k)
+        m, M = kernel.edge
         if rng.uniform() < 0.5:
-            got = kernel.integral_below(kernel.m - delta)
-            audit = resolvent_integral_2d(v, k, kernel.m - delta).value
+            got = kernel.integral_below(m - delta)[0]
+            audit = resolvent_integral_2d(v, k, m - delta).value
         else:
-            got = kernel.integral_above(kernel.M + delta)
-            audit = -resolvent_integral_2d(v, k, kernel.M + delta).value
+            got = kernel.integral_above(M + delta)[0]
+            audit = -resolvent_integral_2d(v, k, M + delta).value
         assert got == pytest.approx(audit, rel=1e-8), (draw, k.tolist(), delta)
-
-
-def test_kernel_rejects_band_interior(v_one):
-    kernel = ResolventKernel(v_one, (0.9, 0.4, -1.2))
-    with pytest.raises(ValueError):
-        kernel.integral_below(kernel.m + 0.5)
-    with pytest.raises(ValueError):
-        kernel.integral_above(kernel.M - 0.5)
 
 
 def test_kernel_monotone_in_z(v_cos_half):
     kernel = ResolventKernel(v_cos_half, (0.3, 0.3, 0.3))
-    below = [kernel.integral_below(kernel.m - d) for d in (3.0, 1.0, 0.3, 0.0)]
+    m, M = kernel.edge
+    below = [kernel.integral_below(m - d)[0] for d in (3.0, 1.0, 0.3, 0.0)]
     assert all(b > 0 for b in below)
     assert below == sorted(below)
-    above = [kernel.integral_above(kernel.M + d) for d in (3.0, 1.0, 0.3, 0.0)]
+    above = [kernel.integral_above(M + d)[0] for d in (3.0, 1.0, 0.3, 0.0)]
     assert all(a > 0 for a in above)
     assert above == sorted(above)

@@ -291,9 +291,9 @@ def test_threshold_integrals_are_the_single_momentum_edge_limits(terms):
     for which in ["origin"] + ["lambda:%d" % i for i in range(1, 9)]:
         kernel = ResolventKernel(v, threshold_point(which)[1])
         if which == "origin":
-            expected = 2.0 * kernel.integral_below(kernel.m)
+            expected = 2.0 * kernel.integral_below(kernel.edge[0])[0]
         else:
-            expected = kernel.integral_above(kernel.M)
+            expected = kernel.integral_above(kernel.edge[1])[0]
         assert threshold_integral(v, which) == expected, which
 
 
