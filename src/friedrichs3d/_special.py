@@ -2,8 +2,9 @@
 
 * `ive_orders(orders, x)`: e^{-x} I_n(x) for the integer orders
   n = 0 .. orders - 1 (at most 8, the orders of v^2) at every x >= 0.
-  Below `_SWITCH` the ascending series (DLMF 10.25.2) gives the two
-  highest orders and the backward recurrence
+  Below `_SWITCH` the ascending series (DLMF 10.25.2), with one count of
+  terms for the whole range, gives the two highest orders and the
+  backward recurrence
   I_{n-1} = I_{n+1} + (2n/x) I_n, stable for I_n, the rest; above it
   Hankel's expansion (DLMF 10.40.1) gives every order at once.
 * `erfc(x)`: `math.erfc` elementwise; above `_ERFC_ZERO`, where
@@ -33,12 +34,12 @@ __all__ = ["ive_orders", "erfc", "exp1"]
 MAX_ORDER = 2 * MAX_HARMONIC
 # the ascending series below, Hankel's expansion above
 _SWITCH = 40.0
-# the series on [0, 2) and [2, _SWITCH), each with the terms its upper end
-# needs: there, and at the lower end of Hankel's expansion, the first term
-# left out is below 1e-18 of the sum at every order <= MAX_ORDER.  The
-# count depends on x alone, so an element's arithmetic does not depend on
-# the array around it.  Counts are multiples of _CHAINS
-_SERIES_PIECES = ((2.0, 16), (_SWITCH, 56))
+# the series terms that x = _SWITCH needs: there, and at the lower end of
+# Hankel's expansion, the first term left out is below 1e-18 of the sum at
+# every order <= MAX_ORDER.  The terms beyond the 16 that x < 2 needs
+# leave its sums unchanged bit for bit (tests/test_special.py), so one
+# count serves the whole range.  A multiple of _CHAINS
+_SERIES_TERMS = 56
 _HANKEL_TERMS = 20
 _CHAINS = 4
 _EULER_GAMMA = 0.57721566490153286061
@@ -64,7 +65,7 @@ def _hankel_coefficients():
 # row n: 1/(k! (n + k)!), the Taylor coefficients of S_n in q (see _ive_series)
 _SERIES = np.array(
     [
-        [1 / (math.factorial(k) * math.factorial(n + k)) for k in range(_SERIES_PIECES[-1][1])]
+        [1 / (math.factorial(k) * math.factorial(n + k)) for k in range(_SERIES_TERMS)]
         for n in range(MAX_ORDER + 1)
     ]
 )
@@ -101,20 +102,16 @@ def ive_orders(orders: int, x) -> np.ndarray:
     out = np.empty((orders,) + x.shape)
     if not orders:
         return out
-    lower = 0.0
-    for upper, terms in _SERIES_PIECES:
-        part = (x >= lower) & (x < upper)
-        if part.any():
-            out[:, part] = _ive_series(orders, x[part], terms)
-        lower = upper
-    part = x >= lower
-    if part.any():
-        out[:, part] = _ive_hankel(orders, x[part])
+    series = x < _SWITCH
+    if series.any():
+        out[:, series] = _ive_series(orders, x[series])
+    if not series.all():
+        out[:, ~series] = _ive_hankel(orders, x[~series])
     return out
 
 
-def _ive_series(orders: int, x: np.ndarray, terms: int) -> np.ndarray:
-    """ive_orders for 0 <= x < _SWITCH by the first `terms` terms of the series, one row per order.
+def _ive_series(orders: int, x: np.ndarray) -> np.ndarray:
+    """ive_orders for 0 <= x < _SWITCH by the first _SERIES_TERMS terms of the series, one row per order.
 
     With I_n(x) = (x/2)^n S_n(x), S_n = sum_k q^k / (k! (n + k)!) and
     q = x^2/4, the recurrence reads S_{n-1} = q S_{n+1} + n S_n: positive
@@ -123,7 +120,7 @@ def _ive_series(orders: int, x: np.ndarray, terms: int) -> np.ndarray:
     top = orders - 1
     q = 0.25 * x * x
     s = np.empty((orders, x.size))
-    s[max(top - 1, 0) :] = _polynomial(_SERIES[max(top - 1, 0) : top + 1, :terms], q)
+    s[max(top - 1, 0) :] = _polynomial(_SERIES[max(top - 1, 0) : top + 1], q)
     for n in range(top - 1, 0, -1):
         s[n - 1] = q * s[n + 1] + n * s[n]
     half = 0.5 * x

@@ -9,18 +9,26 @@ b(n, x) = sin(|n| x) for n < 0.  Harmonic orders are capped at 4 so that
 parsed expressions stay small; products use exact product-to-sum
 identities, so all algebra (and differentiation) is closed and exact.
 
+The algebra works on plain {mode: coefficient} dicts: a sum adds the
+second operand's coefficients to the first's, and a product expands the
+pairs of terms, in sorted mode order, by product-to-sum rules.  Each sum
+and product drops its zero terms and refuses a coefficient that is not
+finite, also one that overflows when finite ones are added; a product
+also refuses a harmonic beyond the cap, which sums and negation keep.
+VFunction's + - * and the parser use the same helpers.
+
 `parse_v` reads int and float literals, binary + - *, unary signs,
 parentheses and cos(pj), sin(pj), cos(n*pj), sin(n*pj) with j in 1..3 and
 n an integer in 1..4.  It checks the characters, then walks the tree of
-Python's own `ast` parser and applies one VFunction operation per node,
-left to right.
+Python's own `ast` parser and applies one dict operation per node, left
+to right; one VFunction is built at the end.
 """
 
 from __future__ import annotations
 
 import ast
 import cmath
-import operator
+import math
 import re
 from functools import lru_cache
 
@@ -45,21 +53,27 @@ def _basis_eval(n: int, x):
     return np.sin(-n * x)
 
 
-def _normalize(terms) -> tuple:
+def _checked(acc: dict) -> dict:
+    """acc without its zero terms; refuses a coefficient that is not finite."""
+    out = {m: c for m, c in acc.items() if c != 0.0}
+    if not all(map(math.isfinite, out.values())):
+        raise ValueError("coefficients must be finite")
+    return out
+
+
+def _capped(coefficients: dict) -> dict:
+    """coefficients, once every harmonic is within the cap; sums and negation keep it."""
+    if any(max(map(abs, m)) > MAX_HARMONIC for m in coefficients):
+        raise ValueError("harmonic order exceeds the cap of %d per axis" % MAX_HARMONIC)
+    return coefficients
+
+
+def _normalize(terms) -> dict:
     acc = {}
     for m, c in terms:
         m = (int(m[0]), int(m[1]), int(m[2]))
-        c = float(c)
-        if not np.isfinite(c):
-            raise ValueError("coefficients must be finite")
-        acc[m] = acc.get(m, 0.0) + c
-    out = tuple(sorted((m, c) for m, c in acc.items() if c != 0.0))
-    for m, _ in out:
-        if max(abs(j) for j in m) > MAX_HARMONIC:
-            raise ValueError(
-                "harmonic order exceeds the cap of %d per axis" % MAX_HARMONIC
-            )
-    return out
+        acc[m] = acc.get(m, 0.0) + float(c)
+    return _capped(_checked(acc))
 
 
 def _axis_product(a: int, b: int):
@@ -87,6 +101,36 @@ def _axis_product(a: int, b: int):
     return out
 
 
+def _sum(a: dict, b: dict) -> dict:
+    acc = dict(a)
+    for m, c in b.items():
+        acc[m] = acc.get(m, 0.0) + c
+    return _checked(acc)
+
+
+def _negation(a: dict) -> dict:
+    return {m: -c for m, c in a.items()}
+
+
+def _difference(a: dict, b: dict) -> dict:
+    return _sum(a, _negation(b))
+
+
+def _product(a: dict, b: dict) -> dict:
+    """a * b by product-to-sum rules, the pairs of terms taken in sorted mode order."""
+    acc = {}
+    right = sorted(b.items())
+    for ma, ca in sorted(a.items()):
+        for mb, cb in right:
+            base = ca * cb
+            for i1, f1 in _axis_product(ma[0], mb[0]):
+                for i2, f2 in _axis_product(ma[1], mb[1]):
+                    for i3, f3 in _axis_product(ma[2], mb[2]):
+                        m = (i1, i2, i3)
+                        acc[m] = acc.get(m, 0.0) + base * f1 * f2 * f3
+    return _capped(_checked(acc))
+
+
 def _axis_exp(n: int) -> dict:
     """Complex-exponential expansion of one basis factor: {freq: coeff}."""
     if n == 0:
@@ -103,7 +147,14 @@ class VFunction:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        object.__setattr__(self, "terms", _normalize(terms))
+        object.__setattr__(self, "terms", tuple(sorted(_normalize(terms).items())))
+
+    @classmethod
+    def _of(cls, coefficients: dict) -> "VFunction":
+        """The VFunction of a {mode: coefficient} dict of finite nonzero coefficients within the cap."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "terms", tuple(sorted(coefficients.items())))
+        return fn
 
     def __setattr__(self, name, value):
         raise AttributeError("VFunction is immutable")
@@ -155,38 +206,30 @@ class VFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return VFunction(self.terms + other.terms)
+        return VFunction._of(_sum(dict(self.terms), dict(other.terms)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return VFunction([(m, -c) for m, c in self.terms])
+        return VFunction._of(_negation(dict(self.terms)))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return VFunction._of(_difference(dict(self.terms), dict(other.terms)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = []
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
-                base = ca * cb
-                for i1, f1 in _axis_product(ma[0], mb[0]):
-                    for i2, f2 in _axis_product(ma[1], mb[1]):
-                        for i3, f3 in _axis_product(ma[2], mb[2]):
-                            out.append(((i1, i2, i3), base * f1 * f2 * f3))
-        return VFunction(out)
+        return VFunction._of(_product(dict(self.terms), dict(other.terms)))
 
     __rmul__ = __mul__
 
@@ -308,8 +351,8 @@ def _squared_exp_cached(v: VFunction):
 _ALPHABET = re.compile(r"(?:[\s0-9.eE+\-*()]|cos|sin|p[123])*")
 # Python refuses leading zeros on integer literals, but "01" reads as 1
 _LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=[0-9])")
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
-_SIGN = {ast.UAdd: lambda v: v, ast.USub: operator.neg}
+_BINARY = {ast.Add: _sum, ast.Sub: _difference, ast.Mult: _product}
+_SIGN = {ast.UAdd: lambda a: a, ast.USub: _negation}
 
 
 def _number(node):
@@ -317,7 +360,7 @@ def _number(node):
     return float(node.value) if isinstance(node, ast.Constant) and type(node.value) in (int, float) else None
 
 
-def _trig(node: ast.Call) -> VFunction:
+def _trig(node: ast.Call) -> dict:
     """cos(pj), sin(pj), cos(n*pj) or sin(n*pj) with n in 1..MAX_HARMONIC."""
     arg = node.args[0] if len(node.args) == 1 else None
     n = 1.0
@@ -327,17 +370,19 @@ def _trig(node: ast.Call) -> VFunction:
             raise VParseError("harmonic multiplier must be an integer in 1..%d, got %r" % (MAX_HARMONIC, n))
     if not (isinstance(arg, ast.Name) and arg.id in ("p1", "p2", "p3")):
         raise VParseError("expected p1, p2, p3 or n*pj inside %s(...)" % node.func.id)
-    return VFunction.axis_mode(int(arg.id[1]) - 1, int(n) if node.func.id == "cos" else -int(n))
+    mode = [0, 0, 0]
+    mode[int(arg.id[1]) - 1] = int(n) if node.func.id == "cos" else -int(n)
+    return {tuple(mode): 1.0}
 
 
-def _build(node) -> VFunction:
-    """The VFunction of an expression tree, one operation per node, left to right."""
+def _build(node) -> dict:
+    """The {mode: coefficient} dict of an expression tree, one operation per node, left to right."""
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
         return _BINARY[type(node.op)](_build(node.left), _build(node.right))
     if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGN:
         return _SIGN[type(node.op)](_build(node.operand))
     if (value := _number(node)) is not None:
-        return VFunction.constant(value)
+        return _checked({(0, 0, 0): value})
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("cos", "sin"):
         return _trig(node)
     raise VParseError("unsupported term %r" % ast.unparse(node))
@@ -351,7 +396,7 @@ def parse_v(text: str) -> VFunction:
     if end < len(text):
         raise VParseError("unexpected character %r at position %d" % (text[end], end))
     try:
-        return _build(ast.parse(_LEADING_ZEROS.sub("", " ".join(text.split())), mode="eval").body)
+        return VFunction._of(_build(ast.parse(_LEADING_ZEROS.sub("", " ".join(text.split())), mode="eval").body))
     except SyntaxError as exc:
         raise VParseError("malformed expression: %s" % exc.msg) from None
     except (RecursionError, MemoryError):  # CPython 3.11's parser overflows with MemoryError

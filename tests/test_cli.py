@@ -562,6 +562,24 @@ def test_validation_failures_exit_two(run_cli, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("spectrum", "--gamma=1", "--mu=1", "--k=0.1,0.2,0.3"),
+        ("bands", "--gamma=1", "--mu=1", "--resolution=2"),
+        ("classify", "--gamma=1", "--mu=1", "--point", "origin"),
+        ("critical", "--gamma=1"),
+        ("verify", "--gamma=1", "--mu=1", "--k=0.1,0.2,0.3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_coupling_whose_sum_overflows_exits_two(run_cli, argv):
+    # each coefficient is finite, their sum is not
+    code, out, err = run_cli(*argv, "--v", "1e308+1e308")
+    assert code == 2
+    assert out == "" and err == "error: coefficients must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("critical", "--gamma", "2", "--v", "1e153"),
         ("critical", "--gamma", "2", "--v", "1.3e153"),
         ("classify", "--gamma", "2", "--mu", "1", "--v", "1.3e153", "--point", "origin"),
@@ -673,8 +691,17 @@ def test_readme_commands_run(run_cli, tmp_path, argv):
     assert filecmp.cmp(first, second, shallow=False)
 
 
+def _run_fresh(*args):
+    """A fresh interpreter on the source tree: the test process itself may have imported scipy."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_the_cli_runs_without_loading_scipy():
-    # a fresh interpreter: the test process itself may have imported scipy
     (argv,) = [a for a in _readme_commands() if a[0] == "spectrum"]
     script = (
         "import contextlib, io, sys\n"
@@ -683,14 +710,28 @@ def test_the_cli_runs_without_loading_scipy():
         "    code = friedrichs3d.cli.main(%r)\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n" % argv
     )
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, timeout=120
-    )
+    done = _run_fresh("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "[]"]
+
+
+def test_python_dash_m_runs_the_readme_spectrum_example():
+    (argv,) = [a for a in _readme_commands() if a[0] == "spectrum"]
+    done = _run_fresh("-m", "friedrichs3d", *argv)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "spectrum"
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(("critical", "--gamma", "2.3", "--v", "1"), 0), (("critical", "--gamma", "nan"), 2)]
+)
+def test_the_console_script_exits_with_the_code_of_main(run_cli, monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "argv", ["friedrichs3d", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main_entry()
+    report = capsys.readouterr()
+    assert (exit_info.value.code, report.out, report.err) == run_cli(*argv)
+    assert exit_info.value.code == code
 
 
 _SPECTRUM = {"command": "spectrum", "gamma": -2.0, "mu": 0.6, "k": [0.5, 0.1, -0.8]}

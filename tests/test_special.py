@@ -38,9 +38,25 @@ def test_ive_at_zero_is_exact():
 
 
 def test_ive_on_both_sides_of_every_switch():
-    bounds = [upper for upper, _ in _special._SERIES_PIECES]
+    # x = 2, below which the series needs only 16 of its terms, and the switch to Hankel's expansion
+    bounds = [2.0, _special._SWITCH]
     x = np.array([t for b in bounds for t in _around(b)] + [1e-300, 1e-20, 0.5, 10.0, 39.0, 41.0, 80.0])
     _assert_ive_matches_mpmath(x)
+
+
+def test_the_series_below_two_is_its_first_sixteen_terms_bit_for_bit(rng, monkeypatch):
+    # the terms that x < 2 does not need change none of its sums: one count of
+    # terms serves the whole series range, and the tables stay what they were
+    s_nodes, _ = _laplace_nodes()
+    x = np.concatenate(
+        [2.0 * c * s_nodes for c in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0)]
+        + [rng.uniform(0.0, 2.0, 20000), 2.0 * 10.0 ** rng.uniform(-12.0, 0.0, 20000), _around(2.0)]
+    )
+    x = x[x < 2.0]
+    full = [ive_orders(orders, x) for orders in range(1, ORDERS + 1)]
+    monkeypatch.setattr(_special, "_SERIES", _special._SERIES[:, :16])
+    for orders, table in zip(range(1, ORDERS + 1), full):
+        assert np.array_equal(ive_orders(orders, x).view(np.int64), table.view(np.int64)), orders
 
 
 @pytest.mark.parametrize("c", [0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0])
@@ -77,18 +93,16 @@ def test_ive_refuses_orders_beyond_v_squared():
 
 
 def test_expansions_truncate_below_double_precision():
-    # the first term each piece leaves out, at the end of the piece where it is largest
-    lower = 0.0
-    for upper, terms in _special._SERIES_PIECES:
-        q = 0.25 * upper * upper
-        for n in range(ORDERS):
-            series = [q ** k / (math.factorial(k) * math.factorial(n + k)) for k in range(terms + 1)]
-            assert series[-1] < 1e-18 * sum(series[:-1])
-        lower = upper
+    # the first term each expansion leaves out, at the switch between them,
+    # where it is largest for the series and for Hankel's expansion
+    q = 0.25 * _special._SWITCH ** 2
+    for n in range(ORDERS):
+        series = [q ** k / (math.factorial(k) * math.factorial(n + k)) for k in range(_special._SERIES_TERMS + 1)]
+        assert series[-1] < 1e-18 * sum(series[:-1])
     terms = _special._HANKEL_TERMS
     for n in range(ORDERS):
-        hankel = _special._HANKEL[n] / lower ** np.arange(terms)
-        left_out = hankel[-1] * (4 * n * n - (2 * terms - 1) ** 2) / (8 * terms * lower)
+        hankel = _special._HANKEL[n] / _special._SWITCH ** np.arange(terms)
+        left_out = hankel[-1] * (4 * n * n - (2 * terms - 1) ** 2) / (8 * terms * _special._SWITCH)
         assert abs(left_out) < 1e-18 * abs(hankel.sum())
 
 

@@ -125,7 +125,9 @@ def test_harmonic_cap_enforced():
     [
         "", "cos(p1", "cos(q1)", "1 +", "* cos(p1)", "cos(p1) cos(p2)", "2 ** 3", "sin()", "cos(0*p1)",
         "p1", "1_0", "0x1", "1j", "2**3", "1/2", "True", "...", "cos(p1,)", "cos(p1*2)", "cos(5*p1)",
-        "cos(2.5*p1)", "1(2)", "cos(1e999*p1)",
+        "cos(2.5*p1)", "1(2)", "cos(1e999*p1)", "1e999",
+        # sums of finite coefficients that overflow
+        "1e308 + 1e308", "-1e308 - 1e308", "1e308*cos(p1) + 1e308*cos(p1)",
         pytest.param("(" * 250 + "1" + ")" * 250, id="250 nested parentheses"),
         pytest.param("-" * 5000 + "1", id="5000 minus signs"),
         pytest.param("-" * 100000 + "1", id="100000 minus signs"),
@@ -201,6 +203,18 @@ def test_parser_builds_the_expression_it_reads(expression, lead, trail):
             parse_v(lead + text + trail)
     else:
         assert parse_v(lead + text + trail) == expected
+
+
+def test_algebra_refuses_a_sum_that_overflows():
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        VFunction([((0, 0, 0), 1e308), ((0, 0, 0), 1e308)])
+    big = VFunction.constant(1e308)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        big + big
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        big - (-big)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        big * 10.0
 
 
 def test_round_trip_serialization():
