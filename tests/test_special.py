@@ -45,8 +45,8 @@ def test_ive_on_both_sides_of_every_switch():
 
 
 def test_the_series_below_two_is_its_first_sixteen_terms_bit_for_bit(rng, monkeypatch):
-    # the terms that x < 2 does not need change none of its sums: one count of
-    # terms serves the whole series range, and the tables stay what they were
+    # the terms that x < 2 does not need change none of its sums, so one
+    # count of terms serves the whole series range
     s_nodes, _ = _laplace_nodes()
     x = np.concatenate(
         [2.0 * c * s_nodes for c in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0)]
