@@ -209,13 +209,14 @@ def _cmd_spectrum(cfg: RunConfig, v: VFunction):
         try:
             value, integral = fredholm_delta(params, v, window.k, root)
         except InsideEssentialSpectrum:
-            # a root clamped at the edge margin, where the grid route cannot
+            # a root inside the edge margin, where the grid route cannot
             # reach: Delta one margin further out must put the root inside it
             z = edge + 2.0 * outward * EDGE_MARGIN
             value, _ = fredholm_delta(params, v, window.k, z)
             if not outward * value < 0.0:
                 raise RuntimeError(
-                    "the audit refutes the root clamped %s the band: Delta(%.17g) = %.6g" % (side, z, value)
+                    "the audit refutes the root %s the band inside the edge margin: Delta(%.17g) = %.6g"
+                    % (side, z, value)
                 )
             continue
         residuals[side] = abs(value)

@@ -34,7 +34,7 @@ __all__ = [
     "EDGE_MARGIN",
 ]
 
-# refuse plain-quadrature evaluation closer to the band than this
+# the audit's reach: `fredholm_delta` refuses z closer to the band than this
 EDGE_MARGIN = 1e-6
 _ROOT_TOL = 1e-10
 _MAX_ITERATIONS = 200
@@ -121,11 +121,12 @@ def _solve_rows(params: ModelParams, kernel: ResolventKernel):
     Each row is solved in its distance delta from its edge, where
     g(delta) = sign * Delta(edge + sign * delta) (sign -1 below, +1 above)
     decreases with slope -1 - mu^2 int s e^{-delta s} G(s) ds <= -1.  A root
-    exists iff g(0+) > 0 and is pinched at the margin iff g(EDGE_MARGIN) < 0.
-    Otherwise it lies below g(0+) (the slope) and below
-    max(sign (w0 - edge), 0) + mu ||v||_2 (the rank-one bound); g < 0 is
-    checked just beyond the smaller one.  All open rows then step together
-    from there: Newton in sqrt(delta), which tames the sqrt(delta) edge
+    exists iff g(0+) > 0.  Its bracket starts at the float spacing of the
+    edge, the least delta that moves z off it, and ends below g(0+) (the
+    slope) and below max(sign (w0 - edge), 0) + mu ||v||_2 (the rank-one
+    bound); g < 0 is checked just beyond the smaller one.  All open rows,
+    however close their roots lie to the edge, then step together from
+    there: Newton in sqrt(delta), which tames the sqrt(delta) edge
     behavior of the kernel, or, on a row with no free axis (the corner
     k = (pi, pi, pi), where J ~ 1/delta), Newton on delta g; either is
     replaced by a geometric bisection whenever it leaves the bracket.  A
@@ -155,15 +156,14 @@ def _solve_rows(params: ModelParams, kernel: ResolventKernel):
         value = sign[rows] * (w0[rows] - z) / scale + mu2 * j
         if not slope:
             return value
-        noise = _NOISE * ((np.abs(w0[rows]) + np.abs(z)) / scale + mu2 * j)
+        # in halves, so that the sum stays in the float range wherever w0 does
+        noise = 2.0 * _NOISE * ((0.5 * np.abs(w0[rows]) + 0.5 * np.abs(z)) / scale + 0.5 * mu2 * j)
         return value, -1.0 / scale - mu2 * k, noise
 
     roots = np.full(n, np.nan)
-    at_edge, at_margin = np.split(g(np.tile(np.arange(n), 2), np.repeat([0.0, EDGE_MARGIN], n)), 2)
-    pinched = (at_edge > 0.0) & (at_margin < 0.0)
-    roots[pinched] = EDGE_MARGIN
-    open_ = np.flatnonzero((at_edge > 0.0) & ~pinched)
-    lo = np.full(open_.size, EDGE_MARGIN)
+    at_edge = g(np.arange(n), np.zeros(n))
+    open_ = np.flatnonzero(at_edge > 0.0)
+    lo = np.spacing(np.abs(edge[open_]))  # the least delta that moves z off the edge
     rank_one = np.maximum(sign[open_] * (w0[open_] - edge[open_]), 0.0) + params.mu * kernel.v_norm
     bound = np.minimum(rank_one / scale, at_edge[open_]) * scale
     hi = bound + 1e-9 * (1.0 + bound)
@@ -230,9 +230,8 @@ def find_discrete_spectrum(params: ModelParams, v: VFunction, k) -> SpectralWind
 
     Existence is decided by the sign of the one-sided determinant limits at
     the band edges, evaluated exactly by the Laplace-Bessel kernel; the
-    roots are then solved by safeguarded Newton to 1e-10.  A root within
-    EDGE_MARGIN of the band is reported clamped at the margin.  This is
-    the solver of `bands` on a batch of one fiber.
+    roots are then solved by safeguarded Newton to 1e-10, down to the
+    edge itself.  This is the solver of `bands` on a batch of one fiber.
     """
     kc = reduce_coords(k).reshape(1, 3)
     (row,), _ = _solve_fibers(params, v, kc)

@@ -74,7 +74,7 @@ class _AuditIntegrand:
     """The (t1, t2) integrand left after integrating t3 in closed form.
 
     Per axis cos(k_j + t) + cos(t) = 2 c_j cos(t + phi_j) with c_j =
-    |cos(k_j/2)| and phi_j = k_j/2, plus pi where cos(k_j/2) < 0.  Below
+    cos(k_j/2) > 0 and phi_j = k_j/2, k reduced into (-pi, pi].  Below
     the band, w1 - z = a - b cos(t3 + phi_3) with b = 2 c_3 and a - b =
     delta + sum_{j=1,2} 4 c_j sin^2((t_j + phi_j)/2), free of cancellation
     next to the edge.  Above it, z - w1 takes the same form with every
@@ -98,9 +98,9 @@ class _AuditIntegrand:
     """
 
     def __init__(self, v: VFunction, kc: np.ndarray, side: int, delta: float):
-        half = np.cos(kc / 2.0)
-        self.c = np.abs(half)
-        self.phase = kc / 2.0 + np.where(half < 0.0, math.pi, 0.0) + side * math.pi
+        half = kc / 2.0
+        self.c = np.cos(half)  # at least cos(pi/2) > 0 on reduced coordinates
+        self.phase = half + side * math.pi
         self.sign = -1.0 if side else 1.0
         self.delta = delta
         self.b = 2.0 * self.c[2]
@@ -169,7 +169,7 @@ def resolvent_integral_2d(v: VFunction, k, z: float) -> IntegralResult:
     values agree to 1e-8 (relative) or an absolute floor of 1e-12; raises
     NonConvergence when 6 doublings are exhausted.  v = 0 gives an exact
     0 on no grid, with 0 refinements.  With the grading they suffice down
-    to the solver's edge margin 1e-6 from the band, except right at it
+    to the audit's edge margin 1e-6 from the band, except right at it
     for v with harmonics of order 3 or 4.  Each refinement costs 4x the
     previous one.  Independent of the Laplace-Bessel kernel, so it audits
     the solver's roots.
@@ -249,11 +249,13 @@ def _tails(d_free, delta):
     T(q) = int_S^inf s^{-q} e^{-delta s} ds in closed form; a fiber with d
     free axes has an algebraic tail A T(d/2) + B T(d/2 + 1) and a slope
     tail one order down.  The closed forms give the edge limits too: at
-    delta = 0 they are S^{1-q}/(q-1) for q > 1 and +inf otherwise.
+    delta = 0 they are S^{1-q}/(q-1) for q > 1 and +inf otherwise.  Where
+    e^{-delta S} underflows the tails are 0, also where delta S leaves the
+    float range and the closed forms would take inf * 0.
     """
     S = _S_END
     table = np.empty((3, delta.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for d in set(d_free.tolist()):
             sel = d_free == d
             dl = delta[sel]
@@ -268,7 +270,7 @@ def _tails(d_free, delta):
             else:  # T(-1) .. T(2), where delta E1(delta S) tends to 0 at the edge
                 one = _special.exp1(x)
                 t = e * (S + 1.0 / dl) / dl, e / dl, one, e / S - np.where(dl == 0.0, 0.0, dl * one)
-            table[:, sel] = t[d // 2 : d // 2 + 3]
+            table[:, sel] = np.where(e == 0.0, 0.0, t[d // 2 : d // 2 + 3])
     return table
 
 

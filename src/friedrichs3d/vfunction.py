@@ -169,15 +169,6 @@ class VFunction:
     def zero(cls) -> "VFunction":
         return cls(())
 
-    @classmethod
-    def axis_mode(cls, axis: int, n: int) -> "VFunction":
-        """cos(n p_axis) for n > 0, sin(|n| p_axis) for n < 0."""
-        if axis not in (0, 1, 2):
-            raise ValueError("axis must be 0, 1 or 2")
-        m = [0, 0, 0]
-        m[axis] = int(n)
-        return cls([(tuple(m), 1.0)])
-
     # ---- basic queries -------------------------------------------------
 
     @property
@@ -399,7 +390,7 @@ def parse_v(text: str) -> VFunction:
         return VFunction._of(_build(ast.parse(_LEADING_ZEROS.sub("", " ".join(text.split())), mode="eval").body))
     except SyntaxError as exc:
         raise VParseError("malformed expression: %s" % exc.msg) from None
-    except (RecursionError, MemoryError):  # CPython 3.11's parser overflows with MemoryError
+    except (RecursionError, MemoryError):  # past its depth limit, CPython's parser raises MemoryError
         raise VParseError("expression nested too deeply") from None
     except (ValueError, OverflowError) as exc:  # a coefficient or harmonic out of range
         raise VParseError(str(exc)) from None

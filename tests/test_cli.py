@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 from friedrichs3d import cli, quadrature
 from friedrichs3d.bands import assemble_bands
 from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
-from friedrichs3d.lattice import band_endpoints
+from friedrichs3d.lattice import ORIGIN, band_endpoints, lambda_point
+from friedrichs3d.thresholds import mu_left, mu_right
 from friedrichs3d.vfunction import parse_v
+
+from oracles import pi_point_roots
 
 
 def test_spectrum_json_round_trip(run_cli):
@@ -53,22 +56,37 @@ def test_spectrum_reports_no_eigenvalue_where_v_vanishes_on_the_minimizer_line(r
     assert results["eigen_below"] is None and results["eigen_above"] is None
 
 
-def test_a_clamped_root_that_the_audit_refutes_exits_three(run_cli):
-    # a nearly frozen axis makes the kernel clamp a root at m - 1e-6 that does
-    # not exist (the true root is 0.005476); the audit gives Delta(m - 2e-6) =
-    # -27276, which puts no root inside the margin
+def test_a_root_next_to_a_nearly_frozen_axis_is_solved_and_audited(run_cli):
+    # the root 0.005476 lies far below the band at m = 11.84, and 1e-6 from
+    # the band, where the kernel of the nearly frozen axis is wrong, the
+    # solver decides nothing
     code, out, err = run_cli(
         "spectrum", "--gamma=-1.5", "--mu", "0.5", "--v", "0.5 + sin(p1) + 0.7*cos(p2)*sin(p3)",
         "--k=2.98991137800306,3.1415926555897915,3.141593007162261",
     )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["results"]["eigen_below"] == pytest.approx(0.0054762116, abs=1e-9)
+    assert report["diagnostics"]["residuals"]["below"] < 1e-8
+
+
+def test_a_root_inside_the_margin_that_the_audit_refutes_exits_three(run_cli):
+    # a nearly frozen axis makes the kernel find a root 8.1e-11 below the band
+    # that does not exist: the audit gives Delta(m - 2e-6) = -769244, which
+    # puts no root inside the margin
+    code, out, err = run_cli(
+        "spectrum", "--gamma=15.452517180682047", "--mu=0.13718784845852242", "--v=cos(2*p1)*cos(p2) + 0.3",
+        "--k=3.1415925891990706,3.141592653589793,3.141592653589793",
+    )
     assert code == 3
-    assert out == "" and "numerical failure: the audit refutes the root clamped below the band" in err
+    assert out == ""
+    assert "numerical failure: the audit refutes the root below the band inside the edge margin" in err
 
 
-def test_clamped_roots_at_pinched_corners_pass_the_sign_test(run_cli):
+def test_roots_at_pinched_corners_are_solved_and_pass_the_sign_test(run_cli):
     # constant v = c at k = (pi, pi, pi) with one root 1e-8 to 8e-7 from the
-    # band, closer than the margin: the clamped root is kept, unaudited, and
-    # the other side's root keeps its residual
+    # band, closer than the margin: the root is the exact one, kept unaudited,
+    # and the other side's root keeps its residual
     rng = np.random.default_rng(20261020)
     volume = (2.0 * math.pi) ** 3
     for _ in range(200):
@@ -84,11 +102,31 @@ def test_clamped_roots_at_pinched_corners_pass_the_sign_test(run_cli):
         report = json.loads(out)
         results, diagnostics = report["results"], report["diagnostics"]
         pinched, other = ("below", "above") if g > 0 else ("above", "below")
-        edge = results["m"] - 1e-6 if g > 0 else results["M"] + 1e-6
-        assert results["eigen_" + pinched] == edge
+        exact = dict(zip(("below", "above"), pi_point_roots(6.0 + g, mu * c)))
+        assert results["eigen_" + pinched] == pytest.approx(exact[pinched], abs=1e-12)
         assert diagnostics["residuals"][pinched] is None
         assert diagnostics["quadrature_refinements"][pinched] is None
         assert diagnostics["residuals"][other] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "vtext, point, gamma",
+    [("1", "origin", 2.0), ("1", "lambda:1", 4.0), ("1 - cos(p1)", "origin", 2.0), ("cos(p1) + 0.5", "lambda:1", 4.0)],
+)
+def test_roots_detaching_from_a_threshold_are_reported_and_certified(run_cli, vtext, point, gamma):
+    # mu = mu_c (1 + eps) puts the root 4e-11 to 3e-4 from its threshold: the
+    # audit certifies it, or inside the margin the sign test does
+    v = parse_v(vtext)
+    mu_c, k = (mu_left(gamma, v), ORIGIN) if point == "origin" else (mu_right(gamma, 1, v), lambda_point(1))
+    for eps in (1e-4, 3e-5, 1e-5, 1e-6):
+        params = ModelParams(gamma=gamma, mu=mu_c * (1.0 + eps))
+        code, out, err = run_cli(
+            "spectrum", "--gamma=%r" % gamma, "--mu=%r" % params.mu, "--v=" + vtext, "--k=%r,%r,%r" % tuple(k)
+        )
+        assert code == 0, err
+        window = find_discrete_spectrum(params, v, k)
+        results = json.loads(out)["results"]
+        assert (results["eigen_below"], results["eigen_above"]) == (window.eigen_below, window.eigen_above)
 
 
 def test_spectrum_of_zero_coupling_is_audited_on_no_grid(run_cli):
@@ -604,10 +642,16 @@ def test_overflowing_threshold_quantities_exit_three(run_cli, argv):
           "--k=1e+300,1e+150,1e+150"), "diagnostics.residuals.below is not a finite number"),
         (("spectrum", "--v", "100000000.0*cos(1*p1)*cos(1*p2)", "--gamma=1e+300", "--mu=1e+150",
           "--k=1e+300,1e+150,1e+150", "--format", "csv"), "diagnostics.residuals.below is not a finite number"),
-        # ||v||^2 / delta beyond the float range next to the band
+        # a root in the kernel's far field, where Newton and bisection stall
         (("bands", "--v", "1e+150*cos(4*p3) + 1e+150*sin(3*p1)*sin(1*p2) + 1000.0*sin(1*p1)*sin(1*p2)*sin(1*p3)"
           " + 3.0*sin(4*p1)*cos(2*p2)*cos(2*p3)", "--gamma=0.0", "--mu=1e-12", "--resolution=3"),
+         "root iteration did not converge in 200 steps"),
+        # v^2 = 1e308 makes the edge limits overflow
+        (("bands", "--v=1e154", "--gamma=0", "--mu=1e-154", "--resolution=2"),
          "the resolvent integral exceeds the float range"),
+        # the solver's root is w0 = 1e308, where the oracle's secular solve does not converge
+        (("verify", "--gamma=1e308", "--mu=1", "--v=1", "--k=0,0,0", "--grids=2"),
+         "the secular solve did not converge"),
         # the oracle's border mu v h^(3/2) has a squared norm beyond the float range
         (("verify", "--v", "-0.5*cos(2*p1)*sin(2*p2)*sin(3*p3) + -1e+150*cos(4*p1)*cos(3*p3)"
           " + 100000000.0*sin(2*p1)*cos(1*p2)*sin(1*p3)", "--gamma=1e+300", "--mu=100000000.0",
@@ -619,6 +663,27 @@ def test_numbers_beyond_the_float_range_exit_three_without_a_warning(run_cli, ar
     code, out, err = run_cli(*argv)
     assert code == 3
     assert out == "" and "numerical failure: " + why in err
+
+
+@pytest.mark.parametrize(
+    "argv, side, level",
+    [
+        (("spectrum", "--gamma=1e306", "--mu=1", "--v=1", "--k=0.5,0.1,-0.8"), "eigen_above", 1e306),
+        (("spectrum", "--gamma=-1e306", "--mu=1", "--v=1", "--k=0.5,0.1,-0.8"), "eigen_below", -1e306),
+        (("spectrum", "--gamma=1e308", "--mu=1", "--v=1", "--k=0,0,0"), "eigen_above", 1e308),
+        (("bands", "--gamma=1e306", "--mu=1", "--v=1", "--resolution=2"), "branch_above", 1e306),
+    ],
+)
+def test_a_level_far_from_the_band_is_its_own_root_without_a_warning(run_cli, argv, side, level):
+    # delta S beyond the float range: the kernel's tails underflow to 0, so
+    # J rounds away against w0 and the root is w0 itself
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    result = json.loads(out)["results"][side]
+    if argv[0] == "bands":
+        result = [result["min"], result["max"]]
+        level = [level, level]
+    assert result == level
 
 
 def test_deeply_nested_config_exits_two(run_cli, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from friedrichs3d.determinant import (
 )
 from friedrichs3d.lattice import ORIGIN, PI_POINT, band_endpoints, lambda_point, reduce_coords, w0, w1_on_grid
 from friedrichs3d.quadrature import IntegralResult, ResolventKernel
-from friedrichs3d.thresholds import fredholm_delta_threshold
+from friedrichs3d.thresholds import fredholm_delta_threshold, mu_left, mu_right
 from friedrichs3d.vfunction import VFunction, parse_v
 
 from oracles import WATSON_HALF, WATSON_I_EPS, integrate_smooth, pi_point_roots
@@ -130,7 +132,7 @@ def test_discrete_spectrum_existence_logic(v_cos_half):
 def test_a_leading_weight_that_vanishes_on_the_minimizer_line_keeps_the_edge_limits_finite():
     # v = sin(p2 + k2/2) vanishes on the whole line of edge minimizers of the
     # fiber k = (pi, k2, 0.7), where its weight leaves only rounding; an edge
-    # limit taken as divergent there reports a clamped root that does not exist
+    # limit taken as divergent there reports a root that does not exist
     for k2 in np.linspace(-3.0, 3.0, 13):
         v = parse_v("%r*sin(p2) + %r*cos(p2)" % (float(np.cos(k2 / 2.0)), float(np.sin(k2 / 2.0))))
         k = (np.pi, k2, 0.7)
@@ -156,12 +158,47 @@ def test_discrete_spectrum_roots_zero_the_grid_determinant(v_cos_half, rng):
         assert abs(resid) < 5e-9
 
 
-def test_near_edge_roots_are_clamped_to_the_margin(v_one):
+def test_near_edge_roots_are_solved_down_to_the_edge(v_one):
+    # roots far inside EDGE_MARGIN: at the origin -delta = -mu^2 J(delta), with
+    # J(delta) within 1e-8 of the edge limit J(0); at the corner the quadratic
     window = find_discrete_spectrum(ModelParams(gamma=0.0, mu=1e-9), v_one, ORIGIN)
-    assert window.eigen_below == pytest.approx(-EDGE_MARGIN, abs=1e-18)
+    edge_limit = ResolventKernel(v_one, ORIGIN).integrals(np.arange(1), np.zeros(1))[0]
+    assert window.eigen_below == pytest.approx(-1e-18 * edge_limit, rel=1e-5)
     window = find_discrete_spectrum(ModelParams(gamma=6.0, mu=1e-9), v_one, PI_POINT)
-    assert window.eigen_below == pytest.approx(12.0 - EDGE_MARGIN, abs=1e-15)
-    assert window.eigen_above == pytest.approx(12.0 + EDGE_MARGIN, abs=1e-15)
+    below, above = pi_point_roots(6.0, 1e-9)
+    assert window.eigen_below == pytest.approx(below, abs=1e-12)
+    assert window.eigen_above == pytest.approx(above, abs=1e-12)
+
+
+def _detached(vtext, point, gamma, eps):
+    """The distance from its threshold of the root that mu = mu_c (1 + eps) detaches."""
+    v = parse_v(vtext)
+    if point == "origin":
+        mu_c = mu_left(gamma, v)
+        return mu_c, -find_discrete_spectrum(ModelParams(gamma, mu_c * (1.0 + eps)), v, ORIGIN).eigen_below
+    mu_c = mu_right(gamma, 1, v)
+    return mu_c, find_discrete_spectrum(ModelParams(gamma, mu_c * (1.0 + eps)), v, lambda_point(1)).eigen_above - 13.5
+
+
+def test_a_root_detaches_from_a_virtual_level_by_the_leading_order_law():
+    # v(0) = 1: J(delta) = J(0) - 2 pi^2 sqrt(delta) + O(delta) gives
+    # sqrt(delta) = eps gamma / (pi^2 mu_c^2) to leading order
+    for eps in (1e-4, 3e-5, 1e-5, 1e-6):
+        mu_c, delta = _detached("1", "origin", 2.0, eps)
+        law = (eps * 2.0 / (math.pi ** 2 * mu_c ** 2)) ** 2
+        assert abs(delta / law - 1.0) <= 30.0 * eps, eps
+
+
+@pytest.mark.parametrize(
+    "vtext, point, gamma, exponent",
+    [("1", "lambda:1", 4.0, 2.0), ("1 - cos(p1)", "origin", 2.0, 1.0), ("cos(p1) + 0.5", "lambda:1", 4.0, 1.0)],
+)
+def test_a_detached_root_moves_as_the_power_of_eps_the_threshold_dictates(vtext, point, gamma, exponent):
+    # delta ~ eps^2 from a virtual level (v nonzero at the threshold point),
+    # delta ~ eps from a threshold eigenvalue (v zero there)
+    deltas = [_detached(vtext, point, gamma, eps)[1] for eps in (1e-4, 1e-5, 1e-6)]
+    for near, far in zip(deltas, deltas[1:]):
+        assert math.log10(near / far) == pytest.approx(exponent, abs=1e-2)
 
 
 def test_zero_coupling_function_leaves_pure_shift(v_one):
@@ -179,7 +216,7 @@ def test_zero_coupling_function_leaves_pure_shift(v_one):
 
 def test_huge_gamma_roots_at_corner_match_closed_form(v_one):
     # the analytic bracket reaches roots 1e8 from the band; the one below
-    # sits 2.5e-6 under the edge, outside the clamping margin
+    # sits 2.5e-6 under the edge
     window = find_discrete_spectrum(ModelParams(gamma=1e8, mu=1.0), v_one, PI_POINT)
     below, above = pi_point_roots(1e8, 1.0)
     assert window.eigen_below == pytest.approx(below, rel=1e-12)

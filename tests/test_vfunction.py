@@ -172,7 +172,8 @@ def _trig_terms(draw):
     form = draw(st.sampled_from(_MULTIPLIERS + ((None,) if n == 1 else ())))
     ws = [draw(_WS) for _ in range(5)]
     arg = "p%d" % axis if form is None else (form % n) + ws[0] + "*" + ws[1] + "p%d" % axis
-    return name + ws[2] + "(" + ws[3] + arg + ws[4] + ")", 4, VFunction.axis_mode(axis - 1, n if name == "cos" else -n)
+    mode = tuple((n if name == "cos" else -n) if j == axis else 0 for j in (1, 2, 3))
+    return name + ws[2] + "(" + ws[3] + arg + ws[4] + ")", 4, VFunction([(mode, 1.0)])
 
 
 @st.composite
