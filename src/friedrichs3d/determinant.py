@@ -166,7 +166,8 @@ def _solve_rows(params: ModelParams, kernel: ResolventKernel):
     lo = np.spacing(np.abs(edge[open_]))  # the least delta that moves z off the edge
     rank_one = np.maximum(sign[open_] * (w0[open_] - edge[open_]), 0.0) + params.mu * kernel.v_norm
     bound = np.minimum(rank_one / scale, at_edge[open_]) * scale
-    hi = bound + 1e-9 * (1.0 + bound)
+    # the slack stops at the largest float, and adds nothing to an infinite bound
+    hi = bound + np.minimum(1e-9 * (1.0 + bound), np.maximum(np.finfo(float).max - bound, 0.0))
     x = hi
     iterations = 0
     while open_.size:
@@ -185,7 +186,8 @@ def _solve_rows(params: ModelParams, kernel: ResolventKernel):
         narrow = (hi - lo <= _ROOT_TOL) | (mid <= lo) | (mid >= hi)
         done = small | narrow
         if done.any():
-            final = np.where(small, np.minimum(np.maximum(x - value / slope, lo), hi), 0.5 * (lo + hi))
+            # the midpoint in halves: lo + hi overflows once both ends pass half the largest float
+            final =np.where(small, np.minimum(np.maximum(x - value / slope, lo), hi), 0.5 * lo + 0.5 * hi)
             roots[open_[done]] = final[done]
             keep = ~done
             open_, lo, hi, x, value, slope, mid = (

@@ -4,6 +4,8 @@ Momentum space is the cube (-pi, pi]^3 with mod-2pi arithmetic.  A
 momentum is plain coordinates: a 3-sequence, or an (..., 3) array of
 many, which `reduce_coords` maps to their canonical representatives.  The
 one-particle dispersion eps(k) = sum_j (1 - cos k_j) ranges over [0, 6].
+The two-particle surface w1(k, px, py, pz) takes the integration variable
+p as three broadcastable coordinate arrays, so grids need no stacking.
 Every energy surface in the model is a trigonometric polynomial in the
 integration variable, so the fiber band edges admit closed forms by
 per-axis extremization; those closed forms live here.
@@ -26,7 +28,6 @@ __all__ = [
     "epsilon",
     "w0",
     "w1",
-    "w1_on_grid",
     "band_endpoints",
     "lambda_points",
     "lambda_point",
@@ -64,15 +65,8 @@ def w0(k, gamma: float):
     return epsilon(k) + gamma
 
 
-def w1(k, p):
-    """Two-particle surface eps(k) + eps(k+p) + eps(p), broadcast over p."""
-    kc = np.asarray(k, dtype=float)
-    pc = np.asarray(p, dtype=float)
-    return epsilon(kc) + epsilon(kc + pc) + epsilon(pc)
-
-
-def w1_on_grid(k, px, py, pz):
-    """w1 on separated coordinate arrays (broadcasting), avoids stacking."""
+def w1(k, px, py, pz):
+    """Two-particle surface eps(k) + eps(k+p) + eps(p) at one k, broadcast over px, py, pz."""
     k1, k2, k3 = k
     ek = 3.0 - np.cos(k1) - np.cos(k2) - np.cos(k3)
     return (
@@ -84,7 +78,7 @@ def w1_on_grid(k, px, py, pz):
 
 
 def band_endpoints(k):
-    """Closed-form fiber band edges (m(k), M(k)) of p -> w1(k, p).
+    """Closed-form fiber band edges (m(k), M(k)) of p -> w1(k, *p).
 
     With c_j = cos(k_j/2) >= 0 on canonical representatives,
     m(k) = eps(k) + sum_j 2(1 - c_j) and M(k) = eps(k) + sum_j 2(1 + c_j).

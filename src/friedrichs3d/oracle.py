@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determinant import ModelParams
-from .lattice import TWO_PI, reduce_coords, w0, w1_on_grid
+from .lattice import TWO_PI, reduce_coords, w0, w1
 from .vfunction import VFunction
 
 __all__ = ["DiscretizedOperator", "discretize", "extreme_eigenvalues"]
@@ -44,7 +44,7 @@ def discretize(params: ModelParams, v: VFunction, k, n: int) -> DiscretizedOpera
     pz = g[None, None, :]
     h = TWO_PI / n
     # w1 on the grid is a fresh n^3 array; v may be a scalar or any broadcastable array
-    diag = w1_on_grid(k, px, py, pz).reshape(-1)
+    diag = w1(k, px, py, pz).reshape(-1)
     border = np.empty(n ** 3)
     np.multiply(params.mu * h ** 1.5, v.evaluate(px, py, pz), out=border.reshape(n, n, n))
     return DiscretizedOperator(

@@ -15,7 +15,9 @@ pairs of terms, in sorted mode order, by product-to-sum rules.  Each sum
 and product drops its zero terms and refuses a coefficient that is not
 finite, also one that overflows when finite ones are added; a product
 also refuses a harmonic beyond the cap, which sums and negation keep.
-VFunction's + - * and the parser use the same helpers.
+The parser applies these operations, one per node of its tree.  A v is
+otherwise built from its terms by `VFunction(terms)`, the inverse of
+`to_terms()`; v = 0 is `VFunction()`.
 
 `parse_v` reads int and float literals, binary + - *, unary signs,
 parentheses and cos(pj), sin(pj), cos(n*pj), sin(n*pj) with j in 1..3 and
@@ -149,25 +151,8 @@ class VFunction:
     def __init__(self, terms=()):
         object.__setattr__(self, "terms", tuple(sorted(_normalize(terms).items())))
 
-    @classmethod
-    def _of(cls, coefficients: dict) -> "VFunction":
-        """The VFunction of a {mode: coefficient} dict of finite nonzero coefficients within the cap."""
-        fn = object.__new__(cls)
-        object.__setattr__(fn, "terms", tuple(sorted(coefficients.items())))
-        return fn
-
     def __setattr__(self, name, value):
         raise AttributeError("VFunction is immutable")
-
-    # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, c: float) -> "VFunction":
-        return cls([((0, 0, 0), float(c))])
-
-    @classmethod
-    def zero(cls) -> "VFunction":
-        return cls(())
 
     # ---- basic queries -------------------------------------------------
 
@@ -190,47 +175,6 @@ class VFunction:
     def __call__(self, p) -> float:
         c1, c2, c3 = np.asarray(p, dtype=float)
         return float(self.evaluate(c1, c2, c3))
-
-    # ---- exact algebra ---------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return VFunction._of(_sum(dict(self.terms), dict(other.terms)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return VFunction._of(_negation(dict(self.terms)))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return VFunction._of(_difference(dict(self.terms), dict(other.terms)))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return VFunction._of(_product(dict(self.terms), dict(other.terms)))
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, VFunction):
-            return other
-        if isinstance(other, (int, float)):
-            return VFunction.constant(float(other))
-        return NotImplemented
 
     # ---- calculus --------------------------------------------------------
 
@@ -290,7 +234,7 @@ class VFunction:
 
     def __repr__(self):
         if self.is_zero:
-            return "VFunction.zero()"
+            return "VFunction()"
         bits = []
         for (m1, m2, m3), c in self.terms:
             fac = []
@@ -387,7 +331,7 @@ def parse_v(text: str) -> VFunction:
     if end < len(text):
         raise VParseError("unexpected character %r at position %d" % (text[end], end))
     try:
-        return VFunction._of(_build(ast.parse(_LEADING_ZEROS.sub("", " ".join(text.split())), mode="eval").body))
+        return VFunction(_build(ast.parse(_LEADING_ZEROS.sub("", " ".join(text.split())), mode="eval").body).items())
     except SyntaxError as exc:
         raise VParseError("malformed expression: %s" % exc.msg) from None
     except (RecursionError, MemoryError):  # past its depth limit, CPython's parser raises MemoryError

@@ -5,30 +5,6 @@ from friedrichs3d import parse_v
 from friedrichs3d.cli import main as cli_main
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--run-nightly",
-        action="store_true",
-        default=False,
-        help="run the slow high-resolution band scans",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "nightly: slow high-resolution checks, off by default"
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--run-nightly"):
-        return
-    skip = pytest.mark.skip(reason="needs --run-nightly")
-    for item in items:
-        if "nightly" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def v_one():
     return parse_v("1")

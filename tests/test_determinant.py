@@ -14,7 +14,7 @@ from friedrichs3d.determinant import (
     find_discrete_spectrum,
     fredholm_delta,
 )
-from friedrichs3d.lattice import ORIGIN, PI_POINT, band_endpoints, lambda_point, reduce_coords, w0, w1_on_grid
+from friedrichs3d.lattice import ORIGIN, PI_POINT, band_endpoints, lambda_point, reduce_coords, w0, w1
 from friedrichs3d.quadrature import IntegralResult, ResolventKernel
 from friedrichs3d.thresholds import fredholm_delta_threshold, mu_left, mu_right
 from friedrichs3d.vfunction import VFunction, parse_v
@@ -250,7 +250,7 @@ def test_audit_integral_matches_the_3d_grid_oracle(terms, k, above, delta):
 
     def integrand(px, py, pz):
         vv = v.evaluate(px, py, pz)
-        return vv * vv / (w1_on_grid(k, px, py, pz) - z)
+        return vv * vv / (w1(k, px, py, pz) - z)
 
     assert result.value == pytest.approx(integrate_smooth(integrand).value, rel=1e-12)
 

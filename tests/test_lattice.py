@@ -13,7 +13,6 @@ from friedrichs3d.lattice import (
     threshold_point,
     w0,
     w1,
-    w1_on_grid,
 )
 from friedrichs3d.oracle import discretize
 from friedrichs3d.quadrature import ResolventKernel, resolvent_integral_2d
@@ -88,17 +87,18 @@ def test_two_particle_dispersion_matches_explicit_sum(rng):
         k = reduce_coords(rng.uniform(-np.pi, np.pi, 3))
         p = reduce_coords(rng.uniform(-np.pi, np.pi, 3))
         expected = epsilon(k) + epsilon(k + p) + epsilon(p)
-        assert w1(k, p) == pytest.approx(expected, abs=1e-12)
+        assert w1(k, *p) == pytest.approx(expected, abs=1e-12)
 
 
 def test_grid_dispersion_broadcasts_like_scalar_calls(rng):
     k = reduce_coords(rng.uniform(-np.pi, np.pi, 3))
     g = np.linspace(-3.0, 3.0, 5)
-    grid = w1_on_grid(k, g[:, None, None], g[None, :, None], g[None, None, :])
+    grid = w1(k, g[:, None, None], g[None, :, None], g[None, None, :])
     grid = np.broadcast_to(grid, (5, 5, 5))
     for i in (0, 2, 4):
         for j in (1, 3):
-            val = w1(k, reduce_coords([g[i], g[j], g[4 - i]]))
+            p = reduce_coords([g[i], g[j], g[4 - i]])
+            val = epsilon(k) + epsilon(k + p) + epsilon(p)
             assert grid[i, j, 4 - i] == pytest.approx(val, abs=1e-12)
 
 
@@ -125,8 +125,8 @@ def test_edge_minimizers_attain_the_endpoints(rng):
     for _ in range(25):
         k = reduce_coords(rng.uniform(-np.pi, np.pi, 3))
         lo, hi = band_endpoints(k)
-        assert w1(k, band_edge_argmin(k)) == pytest.approx(lo, abs=1e-12)
-        assert w1(k, band_edge_argmax(k)) == pytest.approx(hi, abs=1e-12)
+        assert w1(k, *band_edge_argmin(k)) == pytest.approx(lo, abs=1e-12)
+        assert w1(k, *band_edge_argmax(k)) == pytest.approx(hi, abs=1e-12)
 
 
 def test_band_endpoints_accepts_arrays(rng):

@@ -6,7 +6,7 @@ import pytest
 from friedrichs3d import bands, determinant, quadrature, thresholds
 from friedrichs3d.bands import assemble_bands
 from friedrichs3d.determinant import ModelParams, find_discrete_spectrum
-from friedrichs3d.lattice import ORIGIN, PI_POINT, lambda_point, reduce_coords
+from friedrichs3d.lattice import ORIGIN, PI_POINT, lambda_point, reduce_coords, w1
 from friedrichs3d.quadrature import IntegralResult, NonConvergence, ResolventKernel, resolvent_integral_2d
 from friedrichs3d.thresholds import critical_couplings, threshold_integral
 from friedrichs3d.vfunction import VFunction, parse_v
@@ -108,11 +108,11 @@ def test_audit_route_refuses_the_band_and_reports_its_grid(v_cos_half, monkeypat
     k = (0.9, 0.4, -1.2)
     m, M = ResolventKernel(v_cos_half, k).edge
     for z in (m, 0.5 * (m + M), M):
-        for v in (v_cos_half, VFunction.zero()):
+        for v in (v_cos_half, VFunction()):
             with pytest.raises(ValueError):
                 resolvent_integral_2d(v, k, z)
     # v = 0 is an exact 0 on no grid
-    assert resolvent_integral_2d(VFunction.zero(), k, M + 1e-7) == IntegralResult(0.0, 0.0, 0)
+    assert resolvent_integral_2d(VFunction(), k, M + 1e-7) == IntegralResult(0.0, 0.0, 0)
     monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 0)
     with pytest.raises(NonConvergence, match=r"after 0 refinements \(grid 16\^2"):
         resolvent_integral_2d(v_cos_half, k, m - 1e-2)
@@ -182,9 +182,9 @@ def test_threshold_integral_rejects_bad_pairings(v_one):
 
 
 def test_threshold_integral_zero_coupling_is_zero():
-    assert integrate_threshold(VFunction.zero(), ORIGIN, ORIGIN, "min")[0] == 0.0
-    assert threshold_integral(VFunction.zero(), "origin") == 0.0
-    assert threshold_integral(VFunction.zero(), "lambda:4") == 0.0
+    assert integrate_threshold(VFunction(), ORIGIN, ORIGIN, "min")[0] == 0.0
+    assert threshold_integral(VFunction(), "origin") == 0.0
+    assert threshold_integral(VFunction(), "lambda:4") == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +202,8 @@ def test_kernel_matches_riemann_sum_away_from_band(vtext, kcoords):
 
     for z, side in ((m - 1.7, "below"), (M + 2.4, "above")):
         def f(px, py, pz, _z=z):
-            from friedrichs3d.lattice import w1_on_grid
-
             vv = np.asarray(v.evaluate(px, py, pz), dtype=float)
-            return vv * vv / (w1_on_grid(k, px, py, pz) - _z)
+            return vv * vv / (w1(k, px, py, pz) - _z)
 
         ref = left_riemann_integral(f, n=96)
         got = kernel.integral_below(z)[0] if side == "below" else -kernel.integral_above(z)[0]

@@ -51,7 +51,7 @@ def test_critical_coupling_domains(v_one):
     with pytest.raises(DomainError):
         mu_right(10.0, 3, v_one)
     with pytest.raises(ZeroCoupling):
-        mu_left(1.0, VFunction.zero())
+        mu_left(1.0, VFunction())
 
 
 def test_lambda_index_is_checked_not_truncated(v_one):
@@ -102,11 +102,12 @@ def test_left_coupling_survives_subnormal_gamma(v_one, gamma):
 
 
 @pytest.mark.parametrize("c", [1e-150, 1e100])
-def test_left_coupling_scales_inversely_with_v(v_one, v_cos_half, c):
+def test_left_coupling_scales_inversely_with_v(c):
     # j scales as v^2, so mu_left(gamma, c v) = mu_left(gamma, v)/c; at
     # c = 1e-150 the coefficients of v^2 are about 1e-300 and must be kept
-    for v in (v_one, v_cos_half):
-        assert mu_left(2.0, c * v) == pytest.approx(mu_left(2.0, v) / c, rel=1e-13)
+    for text in ("1", "cos(p1) + 0.5"):
+        scaled = parse_v("%r*(%s)" % (c, text))
+        assert mu_left(2.0, scaled) == pytest.approx(mu_left(2.0, parse_v(text)) / c, rel=1e-13)
 
 
 def test_eightfold_symmetry_of_right_couplings(v_one, v_one_minus_cos):
@@ -170,7 +171,7 @@ def test_probe_exponent_tracks_vanishing_order(v_one, v_cos_half, v_one_minus_co
 
 def test_probe_rejects_zero_coupling():
     with pytest.raises(ValueError):
-        _probe(VFunction.zero(), "origin")
+        _probe(VFunction(), "origin")
 
 
 def test_probe_refuses_high_orders():
@@ -327,4 +328,4 @@ def test_threshold_determinant_is_one_formula(terms, which, depth, t):
     assert got == pytest.approx((gamma - g0) * (1.0 - t * t), rel=1e-12, abs=1e-12 * scale)
     # a gamma outside the domain is refused as such, before v = 0 is noticed
     with pytest.raises(DomainError):
-        _critical(g0 - np.sign(gamma - g0) * depth, VFunction.zero(), which)
+        _critical(g0 - np.sign(gamma - g0) * depth, VFunction(), which)
