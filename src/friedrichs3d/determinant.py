@@ -41,7 +41,7 @@ _MAX_ITERATIONS = 200
 # relative rounding of Delta = w0 - z -+ mu^2 J, the floor of its attainable |Delta|
 _NOISE = 8.0 * np.finfo(float).eps
 # (fiber, band edge) rows per lockstep group of the solver, one kernel each:
-# bounds its memory, 2.5 KB of G per row
+# bounds its memory, about 1.4 KB of G per row
 _ROWS_PER_GROUP = 2048
 
 
@@ -172,7 +172,8 @@ def _solve_rows(params: ModelParams, kernel: ResolventKernel):
     iterations = 0
     while open_.size:
         value, slope, noise = g(open_, x, slope=True)
-        if iterations == 0 and not np.all(value < 0.0):
+        # g = 0 at hi is the root itself, where the slack is capped to 0 at the largest float
+        if iterations == 0 and not np.all(value <= 0.0):
             raise RuntimeError("an eigenvalue lies beyond its rank-one bound")
         iterations += 1
         if iterations > _MAX_ITERATIONS:

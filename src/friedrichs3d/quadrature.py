@@ -216,13 +216,19 @@ _S_PANEL_EDGES = (
     65536.0,
     262144.0,
 )
-_GL_PER_PANEL = 32
+# Gauss-Legendre nodes per panel.  The first panel [0, 1] carries the
+# e^{-delta s} edge behaviour and keeps 32.  Beyond it G is analytic on each
+# 4:1 panel with its nearest singularity at s = 0, so an n-node rule there
+# converges like rho^{-2n} with rho ~ 4.4 (Trefethen, SIAM Review 50, 2008):
+# 16 nodes reach roundoff, and 14 already miss it by about 2e-13
+_GL_PER_PANEL = (32,) + (16,) * 9
 _S_END = _S_PANEL_EDGES[-1]
 _ACTIVE_TOL = 1e-9
-# rows per block of (rows x nodes) work arrays in `ResolventKernel.integrals`: bounds their memory
-_ROWS_PER_CHUNK = 32
+# rows per block of (rows x nodes) work arrays in `ResolventKernel.integrals`:
+# bounds their memory, 88 KB at 176 nodes; blocks of 32 rows ran slower
+_ROWS_PER_CHUNK = 64
 # Bessel products per block of the `ResolventKernel` build (64 K doubles, 0.5 MB):
-# 18 fibers for the 11 order triples of a typical v; larger blocks ran slower
+# 33 fibers for the 11 order triples of a typical v; larger blocks ran slower
 _PRODUCTS_PER_CHUNK = 1 << 16
 # on a row with d <= 2 free axes, a leading tail weight at most this fraction
 # of the mean of v^2 is exactly 0.  No mode weight of v^2 exceeds the mean
@@ -235,9 +241,10 @@ _VANISHING = 1e-12
 
 @lru_cache(maxsize=1)
 def _laplace_nodes():
-    x, w = np.polynomial.legendre.leggauss(_GL_PER_PANEL)
+    """The Laplace nodes and weights: a Gauss-Legendre rule of _GL_PER_PANEL[i] nodes on panel i."""
     nodes, weights = [], []
-    for a, b in zip(_S_PANEL_EDGES[:-1], _S_PANEL_EDGES[1:]):
+    for a, b, count in zip(_S_PANEL_EDGES[:-1], _S_PANEL_EDGES[1:], _GL_PER_PANEL):
+        x, w = np.polynomial.legendre.leggauss(count)
         nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
         weights.append(0.5 * (b - a) * w)
     return np.concatenate(nodes), np.concatenate(weights)
@@ -285,10 +292,13 @@ class ResolventKernel:
 
     with c_j = cos(k_j/2) >= 0 and beta_m the exponential coefficients of
     v^2; the upper side carries an extra (-1)^(m1+m2+m3).  G is sampled
-    on fixed Gauss panels covering [0, 262144], its ive(n, x) for
-    n <= 8 by `_special.ive_orders` (the ascending series, backward
-    recurrence and Hankel's expansion, elementwise), tabulated once per
-    distinct c_j of the kernel.  The modes enter G through their order
+    at 176 fixed Gauss nodes on the panels [0, 1], [1, 4], ..., [4^8, 4^9]:
+    32 on [0, 1], which carries the e^{-delta s} edge behaviour, and 16 on
+    each 4:1 panel beyond, where G is analytic and 16 reach roundoff
+    (`_GL_PER_PANEL`).  Its ive(n, x) for n <= 8 come from
+    `_special.ive_orders` (the ascending series, backward recurrence and
+    Hankel's expansion, elementwise), tabulated once per distinct c_j of
+    the kernel.  The modes enter G through their order
     triples (|m1|, |m2|, |m3|) only, and so do the tail coefficients;
     each z evaluation is then a weighted dot product plus a closed-form
     algebraic tail A T(d/2) + B T(d/2 + 1), where d counts the axes with
@@ -332,13 +342,15 @@ class ResolventKernel:
         self.d_free = np.repeat(np.sum(active, axis=1), 2)
 
         # the Bessel product of a mode depends on its orders |m_j| only: sum
-        # the mode weights per order triple, mode by mode in key order
+        # the mode weights per order triple, mode by mode in key order, in
+        # bins triple n + fiber filled mode-major (bincount gives int zeros
+        # when there is no mode or no fiber, hence the dtype)
         index = {}
         triple_of = [index.setdefault(t, len(index)) for t in map(tuple, np.abs(keys).tolist())]
         triples = np.array(list(index), dtype=int).reshape(-1, 3)
-        summed = np.zeros((2, len(index), n))  # (side, triple, fiber)
-        for out, w in zip(summed, weights):
-            np.add.at(out, triple_of, w.T)
+        bins = (np.array(triple_of, dtype=int)[:, None] * n + np.arange(n)).reshape(-1)
+        summed = np.stack([np.bincount(bins, w.T.reshape(-1), len(index) * n) for w in weights], dtype=float)
+        summed = summed.reshape(2, len(index), n)  # (side, triple, fiber)
         triple_weights = np.ascontiguousarray(summed.transpose(2, 0, 1))  # (fiber, side, triple)
 
         # algebraic tail coefficients, per order triple; triples with

@@ -649,18 +649,15 @@ def test_overflowing_threshold_quantities_exit_three(run_cli, argv):
         # v^2 = 1e308 makes the edge limits overflow
         (("bands", "--v=1e154", "--gamma=0", "--mu=1e-154", "--resolution=2"),
          "the resolvent integral exceeds the float range"),
-        # the solver's root is w0 = 1e308, where the oracle's secular solve does not converge
-        (("verify", "--gamma=1e308", "--mu=1", "--v=1", "--k=0,0,0", "--grids=2"),
-         "the secular solve did not converge"),
+        # the solver's root is w0 = 1e308 or the largest float, where the
+        # oracle's secular solve does not converge
+        *((("verify", "--gamma=%r" % gamma, "--mu=1", "--v=1", "--k=0,0,0", "--grids=2"),
+           "the secular solve did not converge")
+          for gamma in (1e308, 1.7976931348623157e308, -1.7976931348623157e308)),
         # the oracle's border mu v h^(3/2) has a squared norm beyond the float range
         (("verify", "--v", "-0.5*cos(2*p1)*sin(2*p2)*sin(3*p3) + -1e+150*cos(4*p1)*cos(3*p3)"
           " + 100000000.0*sin(2*p1)*cos(1*p2)*sin(1*p3)", "--gamma=1e+300", "--mu=100000000.0",
           "--k=2.0,0.3,-0.3", "--grids=4,8"), "the squared norm of the border"),
-        # w0 at the largest float leaves no room for the bracket's slack beyond the rank-one bound
-        *(((cmd, "--gamma=%r" % gamma, "--mu=1", "--v=1", *rest), "an eigenvalue lies beyond its rank-one bound")
-          for gamma in (1.7976931348623157e308, -1.7976931348623157e308)
-          for cmd, *rest in (("spectrum", "--k=0,0,0"), ("spectrum", "--k=0.5,0.1,-0.8"),
-                             ("bands", "--resolution=2"), ("verify", "--k=0,0,0", "--grids=2"))),
     ],
 )
 def test_numbers_beyond_the_float_range_exit_three_without_a_warning(run_cli, argv, why):
@@ -685,6 +682,11 @@ def test_numbers_beyond_the_float_range_exit_three_without_a_warning(run_cli, ar
         (("spectrum", "--gamma=-1.7e308", "--mu=1", "--v=1", "--k=0.5,0.1,-0.8"), "eigen_below", -1.7e308),
         (("spectrum", "--gamma=1.79e308", "--mu=1", "--v=1", "--k=0.5,0.1,-0.8"), "eigen_above", 1.79e308),
         (("bands", "--gamma=-1.79e308", "--mu=1", "--v=1", "--resolution=2"), "branch_below", -1.79e308),
+        # w0 at the largest float: the bracket's slack is capped to 0, so g = 0 at its end, the root
+        *(((cmd, "--gamma=%r" % level, "--mu=1", "--v=1", arg), kind + side, level)
+          for level, side in ((1.7976931348623157e308, "_above"), (-1.7976931348623157e308, "_below"))
+          for cmd, arg, kind in (("spectrum", "--k=0,0,0", "eigen"), ("spectrum", "--k=0.5,0.1,-0.8", "eigen"),
+                                 ("bands", "--resolution=2", "branch"))),
     ],
 )
 def test_a_level_far_from_the_band_is_its_own_root_without_a_warning(run_cli, argv, side, level):

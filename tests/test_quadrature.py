@@ -18,6 +18,7 @@ from oracles import (
     GridSettings,
     integrate_smooth,
     integrate_threshold,
+    laplace_bessel_integral,
     left_riemann_integral,
     polar_cell_integral,
 )
@@ -393,6 +394,75 @@ def test_kernel_agrees_with_the_audit_on_random_fibers():
             got = kernel.integral_above(M + delta)[0]
             audit = -resolvent_integral_2d(v, k, M + delta).value
         assert got == pytest.approx(audit, rel=1e-8), (draw, k.tolist(), delta)
+
+
+@pytest.mark.parametrize(
+    "vtext, kcoords, side, delta, rel",
+    [
+        # the phases and the parity of the modes above the band
+        ("cos(p1) + 0.5", (1.1, -2.3, 0.7), 1, 3.0, 1e-13),
+        ("1", (0.5, 0.1, -0.8), 1, 1e-4, 1e-13),
+        # the edge limit, whose s^(-3/2) tail the referee integrates out to infinity
+        ("1", (0.5, 0.1, -0.8), 0, 0.0, 1e-12),
+    ],
+)
+def test_kernel_matches_the_multiprecision_referee(vtext, kcoords, side, delta, rel):
+    v = parse_v(vtext)
+    got = ResolventKernel(v, kcoords).integrals(np.array([side]), np.array([delta]))[0]
+    assert got == pytest.approx(laplace_bessel_integral(v.squared_exp_coeffs(), kcoords, delta, side), rel=rel)
+
+
+def _random_v(rng):
+    """A sum of 1-4 products of per-axis factors 1, cos(n p_j), sin(n p_j) with n <= 4."""
+    terms = []
+    for _ in range(rng.integers(1, 5)):
+        text = "%.4f" % rng.uniform(-1.0, 1.0)
+        for axis in range(3):
+            kind = rng.integers(3)
+            if kind:
+                text += "*%s(%d*p%d)" % (("cos", "sin")[kind - 1], rng.integers(1, 5), axis + 1)
+        terms.append(text)
+    return parse_v(" + ".join(terms))
+
+
+def test_laplace_rule_agrees_with_sixty_four_nodes_per_panel(monkeypatch):
+    """The shipped node rule against 64 Gauss nodes on every panel, on 400
+    seeded fibers: each axis free, frozen (k_j = pi) or nearly frozen
+    (c_j = 10^U(-8, -2)), both band edges, at delta = 0 and 10^U(-12, 1.6).
+
+    Only the body of J depends on the rule.  Its error is taken relative
+    to J, or to the body where the tails cancel most of it (the nearly
+    frozen fibers of ROADMAP item 1, where J itself is wrong).
+    """
+    rng = np.random.default_rng(20261022)
+    cases = []
+    for _ in range(40):
+        k = rng.uniform(-np.pi, np.pi, (10, 3))
+        kind = rng.integers(3, size=(10, 3))
+        near = (np.pi - 2.0 * 10.0 ** rng.uniform(-8.0, -2.0, (10, 3))) * rng.choice([-1.0, 1.0], (10, 3))
+        k = np.where(kind == 1, np.pi, np.where(kind == 2, near, k))
+        delta = np.where(np.arange(40) % 2, 10.0 ** rng.uniform(-12.0, 1.6, 40), 0.0)
+        cases.append((_random_v(rng), k, np.repeat(np.arange(20), 2), delta))
+
+    def evaluate():
+        out = []
+        for v, k, rows, delta in cases:
+            kernel = ResolventKernel(v, k)
+            body = np.sum(kernel.G[rows] * np.exp(-delta[:, None] * kernel._s_nodes), axis=1)
+            out.append((kernel.integrals(rows, delta), body))
+        return out
+
+    shipped = evaluate()
+    monkeypatch.setattr(quadrature, "_GL_PER_PANEL", (64,) * 10)
+    monkeypatch.setattr(quadrature, "_laplace_nodes", quadrature._laplace_nodes.__wrapped__)
+    assert quadrature._laplace_nodes()[0].size == 640
+    for (got, _), (want, body), (_, k, _, delta) in zip(shipped, evaluate(), cases):
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)  # edge limits that diverge diverge in both
+        assert np.array_equal(got[~finite], want[~finite])
+        scale = np.maximum(np.abs(want), np.abs(body))[finite]
+        err = np.abs(got[finite] - want[finite]) / scale
+        assert err.max(initial=0.0) <= 1e-13, (k.tolist(), delta[finite][np.argmax(err)])
 
 
 def test_kernel_monotone_in_z(v_cos_half):
